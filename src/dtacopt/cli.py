@@ -1,7 +1,8 @@
 """Command-line harness: run, sweep, spectral, check-bound, selftest.
 
-Exit codes: 0 ok, 1 config error, 2 engine fault, 3 no certified step size,
-4 selftest failure.  Human-readable status goes to stdout, machine-readable
+Exit codes: 0 ok, 1 config error (including a graph that cannot be sampled
+strongly connected), 2 engine fault, 3 no certified step size, 4 selftest
+failure.  Human-readable status goes to stdout, machine-readable
 data to files under --out, errors to stderr.
 """
 
@@ -74,7 +75,7 @@ def cmd_sweep(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        summaries = run_experiment(cfg, args.out, jobs=args.jobs)
+        summaries = run_experiment(cfg, args.out)
     except EngineFault as exc:
         print(f"engine fault: {exc}", file=sys.stderr)
         return EXIT_ENGINE
@@ -251,7 +252,7 @@ def _suite_reduction(fault: str | None) -> None:
     s1 = optimizer.init_states(prob, 6, 1)
     s2 = optimizer.init_states(prob, 6, 1)
     e1 = optimizer.DtacEngine(prob, s1, C, d, 0.01)
-    e2 = optimizer.AddOptEngine(prob, s2, C, 0.01)
+    e2 = optimizer.AddOptEngine(prob, s2, C, d, 0.01)
     for _ in range(200):
         e1.step()
         e2.step()
@@ -266,9 +267,7 @@ def _suite_equivalence(fault: str | None) -> None:
         d = delays.assign_delays(g, tau, "uniform-random", seed)
         prob = costs.make_quadratic(n, 3, seed)
         e1 = optimizer.DtacEngine(prob, optimizer.init_states(prob, n, 7), C, d, 0.004)
-        slices = delays.build_delay_slices(C, d)
-        aug = delays.build_augmented_matrix(slices, n)
-        e2 = optimizer.AugmentedEngine(prob, optimizer.init_states(prob, n, 7), aug, 0.004)
+        e2 = optimizer.AugmentedEngine(prob, optimizer.init_states(prob, n, 7), C, d, 0.004)
         for _ in range(150):
             e1.step()
             e2.step()
@@ -388,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="tau_max x alpha sweep", epilog=epilog, formatter_class=fmt
     )
     _add_common(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel runs")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cmp = sub.add_parser(
@@ -432,7 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except graphs.RetryBudgetError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -164,7 +164,13 @@ def build_augmented_matrix(slices: DelaySlices, n: int) -> AugmentedMatrix:
     colsums = slices.total().sum(axis=0)
     if np.max(np.abs(colsums - 1.0)) > 1e-12:
         raise ValueError("inconsistent slices: summed columns must equal 1")
-    T = slices.tau_max
+    return assemble_augmented(slices)
+
+
+def assemble_augmented(slices: DelaySlices) -> AugmentedMatrix:
+    """Place the slices in the first block column and identities on the
+    block superdiagonal, whatever the slices sum to (no stochasticity check)."""
+    n, T = slices.n, slices.tau_max
     N = n * (T + 1)
     M = np.zeros((N, N))
     for r in range(T + 1):

@@ -8,7 +8,6 @@ reproduces its CSVs byte for byte.  A sweep crosses `sweep.tau_max` with
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,7 +88,7 @@ _CHOICES = {
     "graph.type": ("erdos-renyi", "exponential"),
     "delay.mode": ("uniform-random", "homogeneous-max", "zero"),
     "cost.type": ("quadratic", "least_squares", "logistic", "svm"),
-    "run.engine": optimizer.ENGINES,
+    "run.engine": tuple(optimizer.ENGINES),
     "switching.mode": ("connected", "b-connected"),
 }
 
@@ -325,47 +324,41 @@ def execute_run(cfg: ExperimentConfig) -> RunResult:
     return optimizer.run(run_cfg, setting, problem)
 
 
-def run_experiment(
-    cfg: ExperimentConfig, outdir: str | Path, jobs: int = 1
-) -> list[RunSummary]:
+def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunSummary]:
     """Execute the configured sweep (or the single configured point), write
-    one trace CSV per run plus a summary CSV, and dump the static topology."""
+    one trace CSV per run plus a summary CSV, and dump the static topology
+    with one delay map per swept delay bound."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     tag = cfg.get("experiment.tag")
     taus = cfg.get("sweep.tau_max") or (cfg.get("delay.tau_max"),)
     alphas = cfg.get("sweep.alpha") or (cfg.get("run.alpha"),)
-    points = [(t, a) for t in taus for a in alphas]
 
     if not cfg.get("switching.enabled"):
         g = build_graph(cfg)
         graphs.dump_edge_list(g, out / f"{tag}_graph.txt")
-        d = delays.assign_delays(
-            g, cfg.get("delay.tau_max"), cfg.get("delay.mode"), cfg.get("delay.seed")
-        )
-        delays.dump_delay_map(d, out / f"{tag}_delays.txt")
+        for tau in taus:
+            d = delays.assign_delays(g, tau, cfg.get("delay.mode"), cfg.get("delay.seed"))
+            delays.dump_delay_map(d, out / f"{tag}_tau{tau}_delays.txt")
 
-    def one(point: tuple[int, float]) -> RunSummary:
-        tau, alpha = point
-        sub = cfg.with_overrides(**{"delay.tau_max": tau, "run.alpha": alpha})
-        result = execute_run(sub)
-        path = out / f"{tag}_tau{tau}_alpha{alpha!r}.csv"
-        write_trace(result.records, path)
-        return RunSummary(
-            tau_max=tau,
-            alpha=alpha,
-            status=result.status,
-            iters=result.iters,
-            final_gap=result.final_gap,
-            final_mse=result.final_mse,
-            trace_path=str(path),
-        )
-
-    if jobs > 1 and len(points) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(one, points))
-    else:
-        summaries = [one(pt) for pt in points]
+    summaries = []
+    for tau in taus:
+        for alpha in alphas:
+            sub = cfg.with_overrides(**{"delay.tau_max": tau, "run.alpha": alpha})
+            result = execute_run(sub)
+            path = out / f"{tag}_tau{tau}_alpha{alpha!r}.csv"
+            write_trace(result.records, path)
+            summaries.append(
+                RunSummary(
+                    tau_max=tau,
+                    alpha=alpha,
+                    status=result.status,
+                    iters=result.iters,
+                    final_gap=result.final_gap,
+                    final_mse=result.final_mse,
+                    trace_path=str(path),
+                )
+            )
 
     lines = [SUMMARY_HEADER]
     lines.extend(s.as_csv_row() for s in summaries)

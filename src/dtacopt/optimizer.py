@@ -13,11 +13,16 @@ Three engines share one protocol semantics:
   the tracker increment act on the live block, which is exactly what the
   per-node protocol does.  Run in lockstep from the same initialization the
   two produce identical live states up to rounding.
-* AddOptEngine: the delay-free baseline; with all delays zero the delayed
-  engines reduce to it exactly (the mixing goes through identical array
-  operations, so the reduction is bit-for-bit).
+* AddOptEngine: the delay-free baseline, which ignores the delay map; with
+  all delays zero the delayed engines reduce to it exactly (the mixing goes
+  through identical array operations, so the reduction is bit-for-bit).
 
-All engines pack the per-node state into one (n, 2p+1) block whose columns
+All engines share one lifecycle: `Engine(problem, states, C, delays, alpha)`
+installs the round-0 topology, `set_topology(C, delays)` installs the next
+one on a switching run, and `step()` advances one round.  `ENGINES` maps
+each `run.engine` name to its class, so `run()` never branches on the name.
+
+Every engine packs the per-node state into one (n, 2p+1) block whose columns
 are [x | y | g]; column stochasticity then keeps two block sums conserved
 to machine precision at every round, live plus in-flight:
 
@@ -36,7 +41,6 @@ import numpy as np
 
 from .costs import GlobalProblem
 from .delays import (
-    AugmentedMatrix,
     DelayMap,
     DelaySlices,
     assign_delays,
@@ -123,12 +127,42 @@ def _nonzero_slices(slices: DelaySlices) -> list[tuple[int, np.ndarray]]:
 
 
 class _EngineBase:
-    """Shared update arithmetic on the packed (n, 2p+1) live block."""
+    """One lifecycle for every engine, plus the shared update arithmetic on
+    the packed (n, 2p+1) live block.
 
-    problem: GlobalProblem
-    alpha: float
-    n: int
-    p: int
+    Every engine is built by this constructor: it packs the agent states,
+    installs the round-0 topology with `set_topology(C, delays)` -- the call
+    `run()` makes again at every switch -- and measures the conserved masses.
+    """
+
+    def __init__(
+        self,
+        problem: GlobalProblem,
+        states: list[AgentState],
+        C: WeightMatrix,
+        delays: DelayMap,
+        alpha: float,
+    ) -> None:
+        self.problem = problem
+        self.alpha = alpha
+        self.n = len(states)
+        self.p = problem.dim
+        self.tau_max = delays.tau_max
+        self._init_state(_pack(states, self.p))
+        self.Z = self.W[:, : self.p] / self.W[:, self.p, None]
+        self.grad_prev = np.stack([st.grad_prev for st in states])
+        self.k = 0
+        self.set_topology(C, delays)
+        self._measure()
+
+    def _init_state(self, W: np.ndarray) -> None:
+        """Hold the packed round-0 block; nothing is in flight yet."""
+        self.W = W
+
+    def _measure(self) -> None:
+        p = self.p
+        self.mass = float(self.W[:, p].sum())
+        self.tracker_mass = self.W[:, p + 1 :].sum(axis=0)
 
     def _update_live(self, mixed: np.ndarray) -> np.ndarray:
         """Apply the gradient step and tracker increment to a mixed block."""
@@ -169,26 +203,9 @@ class _EngineBase:
 class DtacEngine(_EngineBase):
     """Per-node delayed gradient tracking (the deployable protocol)."""
 
-    def __init__(
-        self,
-        problem: GlobalProblem,
-        states: list[AgentState],
-        C: WeightMatrix,
-        delays: DelayMap,
-        alpha: float,
-    ) -> None:
-        self.problem = problem
-        self.alpha = alpha
-        self.n = len(states)
-        self.p = problem.dim
-        self.tau_max = delays.tau_max
-        self.W = _pack(states, self.p)
-        self.Z = self.W[:, : self.p] / self.W[:, self.p, None]
-        self.grad_prev = np.stack([st.grad_prev for st in states])
-        self.buffers = InTransitBuffer(self.tau_max, self.n, 2 * self.p + 1)
-        self.k = 0
-        self.set_topology(C, delays)
-        self._measure()
+    def _init_state(self, W: np.ndarray) -> None:
+        self.W = W
+        self.buffers = InTransitBuffer(self.tau_max, self.n, W.shape[1])
 
     def set_topology(self, C: WeightMatrix, delays: DelayMap) -> None:
         """Install mixing weights and delays for subsequent sends; packets
@@ -221,30 +238,15 @@ class DtacEngine(_EngineBase):
 class AugmentedEngine(_EngineBase):
     """Matrix-form oracle on the stacked (live; in-flight) state."""
 
-    def __init__(
-        self,
-        problem: GlobalProblem,
-        states: list[AgentState],
-        aug: AugmentedMatrix,
-        alpha: float,
-    ) -> None:
-        self.problem = problem
-        self.alpha = alpha
-        self.n = aug.n
-        self.p = problem.dim
-        self.tau_max = aug.tau_max
-        self.aug = aug
-        self.W_hat = np.zeros((aug.dim, 2 * self.p + 1))
-        self.W_hat[: self.n] = _pack(states, self.p)
-        self.Z = self.W_hat[: self.n, : self.p] / self.W_hat[: self.n, self.p, None]
-        self.grad_prev = np.stack([st.grad_prev for st in states])
-        self.k = 0
-        self._measure()
+    def _init_state(self, W: np.ndarray) -> None:
+        self.W_hat = np.zeros(((self.tau_max + 1) * self.n, W.shape[1]))
+        self.W_hat[: self.n] = W
 
-    def set_topology(self, aug: AugmentedMatrix) -> None:
-        if aug.tau_max != self.tau_max or aug.n != self.n:
-            raise ValueError("augmented matrix shape cannot change mid-run")
-        self.aug = aug
+    def set_topology(self, C: WeightMatrix, delays: DelayMap) -> None:
+        """Install the augmented matrix of (C, delays) for subsequent rounds."""
+        if delays.tau_max != self.tau_max:
+            raise ValueError("cannot change tau_max mid-run")
+        self.aug = build_augmented_matrix(build_delay_slices(C, delays), self.n)
 
     @property
     def W(self) -> np.ndarray:  # live view used by the shared update
@@ -277,28 +279,11 @@ class AugmentedEngine(_EngineBase):
 
 
 class AddOptEngine(_EngineBase):
-    """Delay-free push-sum gradient tracking (the baseline)."""
+    """Delay-free push-sum gradient tracking (the baseline).  It mixes with C
+    alone and ignores the delay map; it shares no mixing code with the
+    delayed engines, so their zero-delay reduction to it is a real check."""
 
-    def __init__(
-        self,
-        problem: GlobalProblem,
-        states: list[AgentState],
-        C: WeightMatrix,
-        alpha: float,
-    ) -> None:
-        self.problem = problem
-        self.alpha = alpha
-        self.n = len(states)
-        self.p = problem.dim
-        self.tau_max = 0
-        self.W = _pack(states, self.p)
-        self.Z = self.W[:, : self.p] / self.W[:, self.p, None]
-        self.grad_prev = np.stack([st.grad_prev for st in states])
-        self.k = 0
-        self.set_topology(C)
-        self._measure()
-
-    def set_topology(self, C: WeightMatrix) -> None:
+    def set_topology(self, C: WeightMatrix, delays: DelayMap) -> None:
         self.C = C.entries
 
     def step(self) -> None:
@@ -307,10 +292,12 @@ class AddOptEngine(_EngineBase):
         self.k += 1
         self._measure()
 
-    def _measure(self) -> None:
-        p = self.p
-        self.mass = float(self.W[:, p].sum())
-        self.tracker_mass = self.W[:, p + 1 :].sum(axis=0)
+
+ENGINES: dict[str, type[_EngineBase]] = {
+    "per-node": DtacEngine,
+    "augmented-oracle": AugmentedEngine,
+    "addopt-nodelay": AddOptEngine,
+}
 
 
 @dataclass(frozen=True)
@@ -412,27 +399,6 @@ class RunResult:
         return f"STATUS {self.status} iters={self.iters} final_gap={self.final_gap!r}"
 
 
-ENGINES = ("per-node", "augmented-oracle", "addopt-nodelay")
-
-
-def _make_engine(
-    name: str,
-    problem: GlobalProblem,
-    states: list[AgentState],
-    setting: StaticSetting,
-    alpha: float,
-):
-    if name == "per-node":
-        return DtacEngine(problem, states, setting.weights, setting.delays, alpha)
-    if name == "augmented-oracle":
-        slices = build_delay_slices(setting.weights, setting.delays)
-        aug = build_augmented_matrix(slices, setting.weights.n)
-        return AugmentedEngine(problem, states, aug, alpha)
-    if name == "addopt-nodelay":
-        return AddOptEngine(problem, states, setting.weights, alpha)
-    raise ValueError(f"unknown engine {name!r}")
-
-
 def _metrics(engine, problem: GlobalProblem) -> TraceRecord:
     Z = engine.live_z
     z_bar = Z.mean(axis=0)
@@ -469,9 +435,10 @@ def run(
     """
     switching = isinstance(setting, SwitchingPlan)
     current = setting.realize(0) if switching else setting
-    n = current.weights.n
-    states = init_states(problem, n, config.init_seed)
-    engine = _make_engine(config.engine, problem, states, current, config.alpha)
+    states = init_states(problem, current.weights.n, config.init_seed)
+    engine = ENGINES[config.engine](
+        problem, states, current.weights, current.delays, config.alpha
+    )
 
     records = [_metrics(engine, problem)]
     status = "MAXITER"
@@ -479,13 +446,7 @@ def run(
     for k in range(config.max_iters):
         if switching and k > 0 and k % setting.period == 0:
             current = setting.realize(k // setting.period)
-            if config.engine == "augmented-oracle":
-                slices = build_delay_slices(current.weights, current.delays)
-                engine.set_topology(build_augmented_matrix(slices, n))
-            elif config.engine == "per-node":
-                engine.set_topology(current.weights, current.delays)
-            else:
-                engine.set_topology(current.weights)
+            engine.set_topology(current.weights, current.delays)
         engine.step()
         last = _metrics(engine, problem)
         if engine.k % config.record_every == 0:
@@ -505,24 +466,6 @@ def run(
         final_mse=last.mse,
         records=records,
     )
-
-
-def step_dtac(engine: DtacEngine) -> DtacEngine:
-    """Advance the per-node protocol one synchronous round."""
-    engine.step()
-    return engine
-
-
-def step_augmented_oracle(engine: AugmentedEngine) -> AugmentedEngine:
-    """Advance the matrix-form oracle one round."""
-    engine.step()
-    return engine
-
-
-def step_addopt(engine: AddOptEngine) -> AddOptEngine:
-    """Advance the delay-free baseline one round."""
-    engine.step()
-    return engine
 
 
 class ContractionMonitor:

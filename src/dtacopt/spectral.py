@@ -30,6 +30,7 @@ import numpy as np
 from .delays import (
     AugmentedMatrix,
     DelayMap,
+    assemble_augmented,
     build_delay_slices,
 )
 
@@ -115,18 +116,7 @@ def build_augmented_from(C: np.ndarray, d: DelayMap) -> AugmentedMatrix:
     """Slice an arbitrary nonnegative square matrix by the delay map and
     assemble its augmentation (column-sum validation skipped: the blocks are
     placed the same way whether or not C is stochastic)."""
-    C = np.asarray(C, dtype=float)
-    slices = build_delay_slices(C, d)
-    n = C.shape[0]
-    T = slices.tau_max
-    N = n * (T + 1)
-    M = np.zeros((N, N))
-    for r in range(T + 1):
-        M[r * n : (r + 1) * n, 0:n] = slices.slices[r]
-    eye = np.eye(n)
-    for r in range(1, T + 1):
-        M[(r - 1) * n : r * n, r * n : (r + 1) * n] = eye
-    return AugmentedMatrix(entries=M, n=n, tau_max=T, slices=slices)
+    return assemble_augmented(build_delay_slices(np.asarray(C, dtype=float), d))
 
 
 @dataclass(frozen=True)

@@ -94,9 +94,7 @@ def equivalence_runs():
         d = delays.assign_delays(g, tau, "uniform-random", seed=200 + trial)
         prob = costs.make_quadratic(n, 3, 300 + trial)
         e1 = DtacEngine(prob, init_states(prob, n, 7), C, d, 0.003)
-        slices = delays.build_delay_slices(C, d)
-        aug = delays.build_augmented_matrix(slices, n)
-        e2 = AugmentedEngine(prob, init_states(prob, n, 7), aug, 0.003)
+        e2 = AugmentedEngine(prob, init_states(prob, n, 7), C, d, 0.003)
         worst = 0.0
         cons = {"mass": 0.0, "tracker": 0.0}
         for _ in range(500):

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from dtacopt.cli import main, run_selftest
@@ -48,12 +51,23 @@ def test_run_zero_delay_trace_matches_baseline_engine(tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "compare", "spectral"])
+def test_unsampleable_graph_is_a_config_error(command, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "dtacopt.cli", command, "--out", str(tmp_path),
+         "--set", "graph.n=30", "--set", "graph.p=0.01"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: no strongly connected")
+    assert "Traceback" not in proc.stderr
+
+
 def test_sweep_subcommand_writes_summary(tmp_path, capsys):
     code = main(
         [
             "sweep",
             "--out", str(tmp_path),
-            "--jobs", "2",
             "--set", "graph.n=6",
             "--set", "cost.dim=3",
             "--set", "sweep.tau_max=0,2",

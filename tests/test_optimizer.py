@@ -1,8 +1,11 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from dtacopt import costs, delays, graphs, spectral
 from dtacopt.optimizer import (
+    ENGINES,
     AddOptEngine,
     AugmentedEngine,
     ContractionMonitor,
@@ -14,9 +17,6 @@ from dtacopt.optimizer import (
     SwitchingPlan,
     init_states,
     run,
-    step_addopt,
-    step_augmented_oracle,
-    step_dtac,
     tracking_triple,
 )
 
@@ -26,11 +26,6 @@ def make_setting(n, tau, gseed, dseed, p_edge=0.6, mode="uniform-random"):
     C = graphs.build_column_stochastic_weights(g)
     d = delays.assign_delays(g, tau, mode, seed=dseed)
     return StaticSetting(graph=g, weights=C, delays=d)
-
-
-def make_augmented(setting):
-    slices = delays.build_delay_slices(setting.weights, setting.delays)
-    return delays.build_augmented_matrix(slices, setting.weights.n)
 
 
 def test_init_states_deterministic_and_seeded():
@@ -80,13 +75,14 @@ def test_single_node_reduces_to_gradient_descent():
 def test_zero_delay_engines_are_bitwise_identical():
     setting = make_setting(6, 0, 11, 0, mode="zero")
     prob = costs.make_quadratic(6, 3, 5)
-    e_dtac = DtacEngine(prob, init_states(prob, 6, 1), setting.weights, setting.delays, 0.01)
-    e_base = AddOptEngine(prob, init_states(prob, 6, 1), setting.weights, 0.01)
-    e_aug = AugmentedEngine(prob, init_states(prob, 6, 1), make_augmented(setting), 0.01)
+    e_dtac, e_base, e_aug = (
+        cls(prob, init_states(prob, 6, 1), setting.weights, setting.delays, 0.01)
+        for cls in (DtacEngine, AddOptEngine, AugmentedEngine)
+    )
     for _ in range(300):
-        step_dtac(e_dtac)
-        step_addopt(e_base)
-        step_augmented_oracle(e_aug)
+        e_dtac.step()
+        e_base.step()
+        e_aug.step()
         assert np.array_equal(e_dtac.W, e_base.W)
         assert np.array_equal(e_dtac.W, e_aug.W_hat[:6])
 
@@ -99,7 +95,7 @@ def test_oracle_equivalence_under_delays():
         setting = make_setting(n, tau, 20 + trial, 30 + trial)
         prob = costs.make_quadratic(n, 3, 40 + trial)
         e1 = DtacEngine(prob, init_states(prob, n, 7), setting.weights, setting.delays, 0.003)
-        e2 = AugmentedEngine(prob, init_states(prob, n, 7), make_augmented(setting), 0.003)
+        e2 = AugmentedEngine(prob, init_states(prob, n, 7), setting.weights, setting.delays, 0.003)
         for _ in range(300):
             e1.step()
             e2.step()
@@ -113,9 +109,8 @@ def test_two_node_quadratic_matches_oracle_tightly():
     C = graphs.build_column_stochastic_weights(g)
     d = delays.DelayMap(tau={(1, 0): 1, (0, 1): 0}, tau_max=1)
     prob = costs.make_quadratic(2, 2, 3)
-    setting = StaticSetting(graph=g, weights=C, delays=d)
     e1 = DtacEngine(prob, init_states(prob, 2, 5), C, d, 0.01)
-    e2 = AugmentedEngine(prob, init_states(prob, 2, 5), make_augmented(setting), 0.01)
+    e2 = AugmentedEngine(prob, init_states(prob, 2, 5), C, d, 0.01)
     for _ in range(200):
         e1.step()
         e2.step()
@@ -125,10 +120,8 @@ def test_two_node_quadratic_matches_oracle_tightly():
 def test_mass_and_tracker_conservation_under_delays():
     setting = make_setting(8, 4, 21, 22)
     prob = costs.make_quadratic(8, 3, 23)
-    for engine in (
-        DtacEngine(prob, init_states(prob, 8, 2), setting.weights, setting.delays, 0.003),
-        AugmentedEngine(prob, init_states(prob, 8, 2), make_augmented(setting), 0.003),
-    ):
+    for cls in (DtacEngine, AugmentedEngine):
+        engine = cls(prob, init_states(prob, 8, 2), setting.weights, setting.delays, 0.003)
         for _ in range(500):
             engine.step()
             assert abs(engine.mass - 8.0) < 1e-10
@@ -198,20 +191,42 @@ def test_switching_plan_converges_and_preserves_mass():
     assert max(rec.grad_tracker_sum_error for rec in result.records) < 1e-9
 
 
+def test_run_switches_topology_on_every_engine():
+    """run() installs each switched topology through set_topology(C, delays)
+    whatever the engine: the matrix-form oracle follows the per-node protocol
+    row for row, and the delay-free baseline keeps its weight mass."""
+    schedule = graphs.SwitchingSchedule(period=2, n=6, p=0.6, seed=13)
+    plan = SwitchingPlan(schedule=schedule, tau_max=3, delay_mode="uniform-random", delay_seed=14)
+    prob = costs.make_quadratic(6, 3, 15)
+    results = {
+        name: run(RunConfig(alpha=0.004, max_iters=15000, tol=1e-9, engine=name), plan, prob)
+        for name in ENGINES
+    }
+    per_node, oracle = results["per-node"], results["augmented-oracle"]
+    assert (oracle.status, oracle.iters) == (per_node.status, per_node.iters)
+    assert len(oracle.records) == len(per_node.records)
+    for a, b in zip(per_node.records, oracle.records):
+        assert a.iter == b.iter
+        assert np.allclose(astuple(a)[1:], astuple(b)[1:], rtol=0.0, atol=1e-10)
+    baseline = results["addopt-nodelay"]
+    assert baseline.status == "CONVERGED"
+    assert max(rec.mass_error for rec in baseline.records) < 1e-10
+
+
 def test_switching_lockstep_across_engines():
     """Per-node and matrix-form engines stay in lockstep through topology
     switches: in-flight packets follow the same delivery schedule in both."""
     prob = costs.make_quadratic(6, 3, 91)
     settings = [make_setting(6, 3, 90 + e, 95 + e) for e in range(6)]
-    e1 = DtacEngine(
-        prob, init_states(prob, 6, 4), settings[0].weights, settings[0].delays, 0.003
+    e1, e2 = (
+        cls(prob, init_states(prob, 6, 4), settings[0].weights, settings[0].delays, 0.003)
+        for cls in (DtacEngine, AugmentedEngine)
     )
-    e2 = AugmentedEngine(prob, init_states(prob, 6, 4), make_augmented(settings[0]), 0.003)
     for k in range(120):
         if k > 0 and k % 2 == 0:
             current = settings[(k // 2) % len(settings)]
             e1.set_topology(current.weights, current.delays)
-            e2.set_topology(make_augmented(current))
+            e2.set_topology(current.weights, current.delays)
         e1.step()
         e2.step()
         assert np.max(np.abs(e1.live_x - e2.live_x)) < 1e-12
@@ -221,15 +236,11 @@ def test_switching_lockstep_across_engines():
 def test_set_topology_rejects_tau_change():
     setting = make_setting(5, 2, 61, 62)
     prob = costs.make_quadratic(5, 3, 63)
-    engine = DtacEngine(prob, init_states(prob, 5, 1), setting.weights, setting.delays, 0.004)
     other = make_setting(5, 3, 61, 64)
-    with pytest.raises(ValueError):
-        engine.set_topology(other.weights, other.delays)
-    aug_engine = AugmentedEngine(
-        prob, init_states(prob, 5, 1), make_augmented(setting), 0.004
-    )
-    with pytest.raises(ValueError):
-        aug_engine.set_topology(make_augmented(other))
+    for cls in (DtacEngine, AugmentedEngine):
+        engine = cls(prob, init_states(prob, 5, 1), setting.weights, setting.delays, 0.004)
+        with pytest.raises(ValueError):
+            engine.set_topology(other.weights, other.delays)
 
 
 def test_switching_keeps_in_flight_packets():
@@ -265,9 +276,10 @@ def test_contraction_monitor_on_converged_certified_runs():
             y=report.y, y_minus=report.y_minus,
             gamma1=report.gamma1, envelope_T=report.envelope_T,
         )
-        aug = make_augmented(setting)
-        limit = spectral.limit_matrix(aug)
-        engine = AugmentedEngine(prob, init_states(prob, n, 3), aug, alpha)
+        engine = AugmentedEngine(
+            prob, init_states(prob, n, 3), setting.weights, setting.delays, alpha
+        )
+        limit = spectral.limit_matrix(engine.aug)
         monitor = ContractionMonitor(
             lambda k: spectral.build_G_H(alpha, k, cn), limit, prob.z_star
         )
@@ -285,9 +297,8 @@ def test_contraction_monitor_on_converged_certified_runs():
 def test_tracking_triple_decays_to_zero():
     setting = make_setting(5, 2, 50, 60)
     prob = costs.make_quadratic(5, 3, 70)
-    aug = make_augmented(setting)
-    limit = spectral.limit_matrix(aug)
-    engine = AugmentedEngine(prob, init_states(prob, 5, 3), aug, 0.002)
+    engine = AugmentedEngine(prob, init_states(prob, 5, 3), setting.weights, setting.delays, 0.002)
+    limit = spectral.limit_matrix(engine.aug)
     t0, s0 = tracking_triple(engine, limit, prob.z_star)
     for _ in range(6000):
         engine.step()
