@@ -1,9 +1,10 @@
 """Command-line harness: run, sweep, spectral, check-bound, selftest.
 
 Exit codes: 0 ok, 1 config error (including a graph that cannot be sampled
-strongly connected), 2 engine fault, 3 no certified step size, 4 selftest
-failure.  Human-readable status goes to stdout, machine-readable
-data to files under --out, errors to stderr.
+strongly connected and costs whose centralized oracle misses its tolerance),
+2 engine fault, 3 no certified step size, 4 selftest failure.  Human-readable
+status goes to stdout, machine-readable data to files under --out, errors to
+stderr.
 """
 
 from __future__ import annotations
@@ -242,6 +243,17 @@ def _suite_gradients(fault: str | None) -> None:
             rel = np.linalg.norm(fd - g) / (1.0 + np.linalg.norm(g))
             if rel > 1e-5:
                 raise AssertionError(f"gradient check failed: rel err {rel:.2e}")
+        # the batched paths the engines and metrics run, against the per-node models
+        Z = rng.standard_normal((prob.n, prob.dim))
+        G = prob.grads(Z)
+        if fault == "gradients":
+            G[0, 0] += 1e-6
+        ref = np.stack([m.grad(Z[i]) for i, m in enumerate(prob.locals)])
+        if np.max(np.abs(G - ref)) > 1e-12 * (1.0 + np.max(np.abs(ref))):
+            raise AssertionError("batched grads disagree with the per-node models")
+        ref_total = sum(m.eval(Z[0]) for m in prob.locals)
+        if abs(prob.total(Z[0]) - ref_total) > 1e-12 * (1.0 + abs(ref_total)):
+            raise AssertionError("batched total disagrees with the per-node models")
 
 
 def _suite_reduction(fault: str | None) -> None:
@@ -432,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except graphs.RetryBudgetError as exc:
+    except (graphs.RetryBudgetError, costs.OracleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,10 +1,24 @@
 """Local objective functions with exact gradients and centralized optima.
 
-Every factory returns a GlobalProblem: n local models f_i, their uniform
-strong-convexity / gradient-Lipschitz constants, and the minimizer of
-F = sum_i f_i computed by an independent centralized oracle (a linear solve
-where the problem is quadratic, otherwise accelerated gradient descent to
-gradient norm 1e-10).
+Every factory returns a GlobalProblem subclass that holds its family's data
+stacked over the n nodes:
+
+    quadratic       A (n, p, p), b (n, p)
+    least squares   H (n, r, p), b (n, r), ridge
+    logistic        features (n, m, p), labels (n, m), lam, scale, bias_ridge
+    smoothed SVM    features (n, m, p), labels (n, m), margin_weight, smoothness
+
+and computes all n gradients (`grads(Z)`, one einsum pass) and the network
+objective (`total(z)`, one pass over the flattened data) without a loop over
+nodes.  These are the paths the engines and the metrics run.  The per-node
+models in `locals` (QuadraticCost, ...) are built on views of the stacked
+arrays, so no data is held twice; they are the reference the batched methods
+are tested against, and they seed the initial trackers.
+
+The problem also carries the uniform strong-convexity / gradient-Lipschitz
+constants and the minimizer of F = sum_i f_i, computed by an independent
+centralized oracle: a linear solve where the problem is quadratic, otherwise
+accelerated gradient descent on `total_grad` to gradient norm 1e-10.
 """
 
 from __future__ import annotations
@@ -19,12 +33,9 @@ class OracleError(RuntimeError):
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + exp(-t)) without overflow: exp is only taken of -|t|."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _log1pexp(t: np.ndarray) -> np.ndarray:
@@ -190,15 +201,22 @@ class SmoothSvmCost:
         return g
 
 
-@dataclass
 class GlobalProblem:
-    """Sum-of-local-costs problem with a centralized-optimum oracle."""
+    """F = sum_i f_i over n nodes, with its centralized optimum.
 
-    locals: list
+    A subclass holds one family's data stacked over the nodes and implements
+    the batched `grads` and `total`; `locals` are the per-node models, built
+    on views of that data.  s and l are the uniform (worst-node) constants;
+    z_star and f_star are set once the centralized oracle has run.
+    """
+
     z_star: np.ndarray
     f_star: float
-    s: float
-    l: float
+
+    def __init__(self, locals: list) -> None:
+        self.locals = locals
+        self.s = min(m.s for m in locals)
+        self.l = max(m.l for m in locals)
 
     @property
     def n(self) -> int:
@@ -209,31 +227,108 @@ class GlobalProblem:
         return self.locals[0].dim
 
     def total(self, z: np.ndarray) -> float:
-        return float(sum(m.eval(z) for m in self.locals))
-
-    def total_grad(self, z: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.dim)
-        for m in self.locals:
-            g += m.grad(z)
-        return g
+        """F(z) = sum_i f_i(z)."""
+        raise NotImplementedError
 
     def grads(self, Z: np.ndarray) -> np.ndarray:
-        """Per-node gradients at per-node states, stacked (n, dim)."""
-        return np.stack([m.grad(Z[i]) for i, m in enumerate(self.locals)])
+        """Per-node gradients at per-node states: row i is grad f_i(Z[i])."""
+        raise NotImplementedError
+
+    def total_grad(self, z: np.ndarray) -> np.ndarray:
+        return self.grads(np.broadcast_to(z, (self.n, z.shape[0]))).sum(axis=0)
 
     def gap(self, z: np.ndarray) -> float:
         return self.total(z) - self.f_star
 
+    def _with_optimum(self, z_star: np.ndarray) -> "GlobalProblem":
+        self.z_star = z_star
+        self.f_star = self.total(z_star)
+        return self
 
-@dataclass
+
 class _QuadraticProblem(GlobalProblem):
-    """Quadratic specialization with batched gradients."""
-
-    A_stack: np.ndarray = None  # (n, p, p)
-    b_stack: np.ndarray = None  # (n, p)
+    def __init__(self, locals: list, A: np.ndarray, b: np.ndarray) -> None:
+        super().__init__(locals)
+        self.A, self.b = A, b  # (n, p, p), (n, p)
+        self.A_sum, self.b_sum = A.sum(axis=0), b.sum(axis=0)
 
     def grads(self, Z: np.ndarray) -> np.ndarray:
-        return np.einsum("npq,nq->np", self.A_stack, Z) + self.b_stack
+        return np.einsum("npq,nq->np", self.A, Z) + self.b
+
+    def total(self, z: np.ndarray) -> float:
+        return float(0.5 * z @ self.A_sum @ z + self.b_sum @ z)
+
+
+class _LeastSquaresProblem(GlobalProblem):
+    def __init__(self, locals: list, H: np.ndarray, b: np.ndarray, ridge: float) -> None:
+        super().__init__(locals)
+        self.H, self.b, self.ridge = H, b, ridge  # (n, r, p), (n, r)
+
+    def grads(self, Z: np.ndarray) -> np.ndarray:
+        R = np.einsum("nrp,np->nr", self.H, Z) - self.b
+        return np.einsum("nrp,nr->np", self.H, R) + self.ridge * Z
+
+    def total(self, z: np.ndarray) -> float:
+        r = self.H.reshape(-1, z.shape[0]) @ z - self.b.ravel()
+        return float(0.5 * r @ r + 0.5 * self.n * self.ridge * z @ z)
+
+
+class _LogisticProblem(GlobalProblem):
+    def __init__(
+        self, locals: list, features: np.ndarray, labels: np.ndarray,
+        lam: float, scale: float, bias_ridge: float,
+    ) -> None:
+        super().__init__(locals)
+        self.features, self.labels = features, labels  # (n, m, p), (n, m)
+        self.lam, self.scale, self.bias_ridge = lam, scale, bias_ridge
+
+    def grads(self, Z: np.ndarray) -> np.ndarray:
+        W, beta = Z[:, :-1], Z[:, -1]
+        margins = self.labels * (
+            np.einsum("nmp,np->nm", self.features, W) + beta[:, None]
+        )
+        coeff = -self.labels * _sigmoid(-margins)
+        G = np.empty(Z.shape)
+        G[:, :-1] = self.scale * np.einsum("nmp,nm->np", self.features, coeff) + self.lam * W
+        G[:, -1] = self.scale * coeff.sum(axis=1) + self.bias_ridge * beta
+        return G
+
+    def total(self, z: np.ndarray) -> float:
+        w, beta = z[:-1], z[-1]
+        margins = self.labels.ravel() * (self.features.reshape(-1, w.shape[0]) @ w + beta)
+        loss = self.scale * float(np.sum(_log1pexp(-margins)))
+        ridge = 0.5 * self.lam * float(w @ w) + 0.5 * self.bias_ridge * float(beta**2)
+        return loss + self.n * ridge
+
+
+class _SvmProblem(GlobalProblem):
+    def __init__(
+        self, locals: list, features: np.ndarray, labels: np.ndarray,
+        margin_weight: float, smoothness: float,
+    ) -> None:
+        super().__init__(locals)
+        self.features, self.labels = features, labels  # (n, m, p), (n, m)
+        self.margin_weight, self.smoothness = margin_weight, smoothness
+
+    def grads(self, Z: np.ndarray) -> np.ndarray:
+        omega, nu = Z[:, :-1], Z[:, -1]
+        slack = 1.0 - self.labels * (
+            np.einsum("nmp,np->nm", self.features, omega) - nu[:, None]
+        )
+        coeff = self.margin_weight * _sigmoid(self.smoothness * slack) * self.labels
+        G = np.empty(Z.shape)
+        G[:, :-1] = 2.0 * omega - np.einsum("nmp,nm->np", self.features, coeff)
+        G[:, -1] = coeff.sum(axis=1)
+        return G
+
+    def total(self, z: np.ndarray) -> float:
+        omega, nu = z[:-1], z[-1]
+        slack = 1.0 - self.labels.ravel() * (
+            self.features.reshape(-1, omega.shape[0]) @ omega - nu
+        )
+        mu = self.smoothness
+        hinge = float(np.sum(_log1pexp(mu * slack))) / mu
+        return self.n * float(omega @ omega) + self.margin_weight * hinge
 
 
 def nesterov_minimize(
@@ -272,32 +367,20 @@ def _random_spd(p: int, rng: np.random.Generator, lo: float = 1.0, hi: float = 1
 
 
 def make_quadratic(n: int, p: int, seed: int) -> GlobalProblem:
-    """n random strongly convex quadratics; the optimum solves the stacked
+    """n random strongly convex quadratics; the optimum solves the summed
     linear system exactly."""
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
     rng = np.random.default_rng(seed)
+    A = np.empty((n, p, p))
+    b = np.empty((n, p))
     models = []
-    A_stack = np.zeros((n, p, p))
-    b_stack = np.zeros((n, p))
     for i in range(n):
-        A, s_i, l_i = _random_spd(p, rng)
-        b = rng.standard_normal(p)
-        models.append(QuadraticCost(A=A, b=b, s=s_i, l=l_i))
-        A_stack[i] = A
-        b_stack[i] = b
-    z_star = np.linalg.solve(A_stack.sum(axis=0), -b_stack.sum(axis=0))
-    problem = _QuadraticProblem(
-        locals=models,
-        z_star=z_star,
-        f_star=0.0,
-        s=min(m.s for m in models),
-        l=max(m.l for m in models),
-        A_stack=A_stack,
-        b_stack=b_stack,
-    )
-    problem.f_star = problem.total(z_star)
-    return problem
+        A[i], s_i, l_i = _random_spd(p, rng)
+        b[i] = rng.standard_normal(p)
+        models.append(QuadraticCost(A=A[i], b=b[i], s=s_i, l=l_i))
+    problem = _QuadraticProblem(models, A=A, b=b)
+    return problem._with_optimum(np.linalg.solve(problem.A_sum, -problem.b_sum))
 
 
 def make_least_squares(
@@ -309,53 +392,39 @@ def make_least_squares(
         raise ValueError("stacked system must be overdetermined: n*rows >= p")
     rng = np.random.default_rng(seed)
     z_true = rng.standard_normal(p)
+    H = np.empty((n, rows_per_agent, p))
+    b = np.empty((n, rows_per_agent))
     models = []
     gram = ridge * n * np.eye(p)
     rhs = np.zeros(p)
-    for _ in range(n):
-        H = rng.standard_normal((rows_per_agent, p))
-        b = H @ z_true + 0.1 * rng.standard_normal(rows_per_agent)
-        hess = H.T @ H + ridge * np.eye(p)
-        eigs = np.linalg.eigvalsh(hess)
+    for i in range(n):
+        H[i] = rng.standard_normal((rows_per_agent, p))
+        b[i] = H[i] @ z_true + 0.1 * rng.standard_normal(rows_per_agent)
+        eigs = np.linalg.eigvalsh(H[i].T @ H[i] + ridge * np.eye(p))
         models.append(
-            LeastSquaresCost(H=H, b=b, ridge=ridge, s=float(eigs[0]), l=float(eigs[-1]))
+            LeastSquaresCost(H=H[i], b=b[i], ridge=ridge, s=float(eigs[0]), l=float(eigs[-1]))
         )
-        gram += H.T @ H
-        rhs += H.T @ b
+        gram += H[i].T @ H[i]
+        rhs += H[i].T @ b[i]
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] < 1e-10 * max(1.0, eigs[-1]):
         raise ValueError("stacked system is rank deficient and ridge is 0")
-    z_star = np.linalg.solve(gram, rhs)
-    problem = GlobalProblem(
-        locals=models,
-        z_star=z_star,
-        f_star=0.0,
-        s=min(m.s for m in models),
-        l=max(m.l for m in models),
-    )
-    problem.f_star = problem.total(z_star)
-    return problem
+    problem = _LeastSquaresProblem(models, H=H, b=b, ridge=ridge)
+    return problem._with_optimum(np.linalg.solve(gram, rhs))
 
 
 def _two_cluster_data(
     n: int, p: int, samples_per_agent: int, seed: int, separation: float = 2.0
-):
-    """Balanced two-cluster Gaussian features with +-1 labels, per agent."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced two-cluster Gaussian features (n, m, p) with +-1 labels (n, m):
+    on every agent the first m // 2 samples are positive."""
     rng = np.random.default_rng(seed)
     center = separation * np.ones(p) / np.sqrt(p)
-    per_agent = []
-    for _ in range(n):
-        m_pos = samples_per_agent // 2
-        m_neg = samples_per_agent - m_pos
-        feats = np.vstack(
-            [
-                center + rng.standard_normal((m_pos, p)),
-                -center + rng.standard_normal((m_neg, p)),
-            ]
-        )
-        labels = np.concatenate([np.ones(m_pos), -np.ones(m_neg)])
-        per_agent.append((feats, labels))
-    return per_agent
+    m_pos = samples_per_agent // 2
+    labels = np.ones((n, samples_per_agent))
+    labels[:, m_pos:] = -1.0
+    features = labels[:, :, None] * center + rng.standard_normal((n, samples_per_agent, p))
+    return features, labels
 
 
 def make_logistic(
@@ -377,27 +446,21 @@ def make_logistic(
         raise ValueError("lam must be positive")
     if samples_per_agent < 2:
         raise ValueError("need at least 2 samples per agent to mix labels")
+    F, Y = _two_cluster_data(n, p, samples_per_agent, seed, separation)
     models = [
         LogisticCost(
-            features=f, labels=y, lam=lam, mean_scaled=mean_scaled,
+            features=F[i], labels=Y[i], lam=lam, mean_scaled=mean_scaled,
             bias_ridge=bias_ridge,
         )
-        for f, y in _two_cluster_data(n, p, samples_per_agent, seed, separation)
+        for i in range(n)
     ]
+    scale = 1.0 / samples_per_agent if mean_scaled else 1.0
+    problem = _LogisticProblem(
+        models, features=F, labels=Y, lam=lam, scale=scale, bias_ridge=bias_ridge
+    )
     L = float(sum(m.l for m in models))
-    z0 = np.zeros(p + 1)
-    z_star = nesterov_minimize(
-        lambda z: _sum_grads(models, z), z0, lipschitz=L, tol=1e-10
-    )
-    problem = GlobalProblem(
-        locals=models,
-        z_star=z_star,
-        f_star=0.0,
-        s=min(m.s for m in models),
-        l=max(m.l for m in models),
-    )
-    problem.f_star = problem.total(z_star)
-    return problem
+    z_star = nesterov_minimize(problem.total_grad, np.zeros(p + 1), lipschitz=L, tol=1e-10)
+    return problem._with_optimum(z_star)
 
 
 def make_smooth_svm(
@@ -417,32 +480,18 @@ def make_smooth_svm(
     """
     if margin_weight < 0 or smoothness <= 0:
         raise ValueError("need margin_weight >= 0 and smoothness > 0")
+    F, Y = _two_cluster_data(n, p, samples_per_agent, seed, separation)
     models = [
         SmoothSvmCost(
-            features=f, labels=y, margin_weight=margin_weight, smoothness=smoothness
+            features=F[i], labels=Y[i], margin_weight=margin_weight, smoothness=smoothness
         )
-        for f, y in _two_cluster_data(n, p, samples_per_agent, seed, separation)
+        for i in range(n)
     ]
-    if margin_weight == 0.0:
-        z_star = np.zeros(p + 1)
-    else:
-        L = float(sum(m.l for m in models))
-        z_star = nesterov_minimize(
-            lambda z: _sum_grads(models, z), np.zeros(p + 1), lipschitz=L, tol=1e-10
-        )
-    problem = GlobalProblem(
-        locals=models,
-        z_star=z_star,
-        f_star=0.0,
-        s=min(m.s for m in models),
-        l=max(m.l for m in models),
+    problem = _SvmProblem(
+        models, features=F, labels=Y, margin_weight=margin_weight, smoothness=smoothness
     )
-    problem.f_star = problem.total(z_star)
-    return problem
-
-
-def _sum_grads(models: list, z: np.ndarray) -> np.ndarray:
-    g = np.zeros_like(z)
-    for m in models:
-        g += m.grad(z)
-    return g
+    if margin_weight == 0.0:
+        return problem._with_optimum(np.zeros(p + 1))
+    L = float(sum(m.l for m in models))
+    z_star = nesterov_minimize(problem.total_grad, np.zeros(p + 1), lipschitz=L, tol=1e-10)
+    return problem._with_optimum(z_star)

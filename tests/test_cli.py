@@ -63,6 +63,21 @@ def test_unsampleable_graph_is_a_config_error(command, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "compare", "spectral", "check-bound"])
+@pytest.mark.parametrize("cost", ["logistic", "svm"])
+def test_oracle_failure_is_a_config_error(command, cost, tmp_path, monkeypatch, capsys):
+    from dtacopt import costs
+
+    def miss(*args, **kwargs):
+        raise costs.OracleError("centralized oracle missed tol=1e-10 in 0 iterations")
+
+    monkeypatch.setattr(costs, "nesterov_minimize", miss)
+    code = main([command, "--out", str(tmp_path), "--set", f"cost.type={cost}", "--set", "graph.n=6"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "config error: centralized oracle missed tol=1e-10 in 0 iterations\n"
+
+
 def test_sweep_subcommand_writes_summary(tmp_path, capsys):
     code = main(
         [
@@ -209,6 +224,14 @@ def test_selftest_fault_injection_trips_weight_suite(capsys):
     assert code == 4
     assert "column-stochasticity" in captured.err
     assert "FAIL" in captured.out
+
+
+def test_selftest_fault_injection_trips_gradient_suite(capsys):
+    code = main(["selftest", "--inject-fault", "gradients"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "selftest failed: gradient-check" in captured.err
+    assert "batched grads disagree" in captured.out
 
 
 def test_selftest_helper_reports_suite_lines():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dtacopt.costs import (
     LogisticCost,
@@ -225,3 +227,73 @@ def test_nesterov_oracle_caps_iterations():
             tol=1e-12,
             max_iters=50,
         )
+
+
+# -- batched paths against the per-node models --------------------------------
+# grads/total/total_grad sum in another order than the per-node loop, so they
+# agree to rounding, not bitwise: 1e-12 relative to the result's scale (plus
+# an absolute 1e-12 where the result itself is near 0).
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+NODES = st.integers(1, 6)
+DIMS = st.integers(1, 4)
+SAMPLES = st.integers(2, 12)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _assert_close(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
+
+
+def _check_batched(prob, seed):
+    rng = np.random.default_rng(seed)
+    Z = 2.0 * rng.standard_normal((prob.n, prob.dim))
+    _assert_close(prob.grads(Z), np.stack([m.grad(z) for m, z in zip(prob.locals, Z)]))
+    z = Z[0]
+    _assert_close(prob.total(z), sum(m.eval(z) for m in prob.locals))
+    _assert_close(prob.total_grad(z), sum(m.grad(z) for m in prob.locals))
+
+
+@PROPERTY
+@given(n=NODES, p=DIMS, seed=SEEDS)
+def test_batched_quadratic_matches_per_node_models(n, p, seed):
+    _check_batched(make_quadratic(n, p, seed), seed)
+
+
+@PROPERTY
+@given(
+    n=NODES, p=DIMS, rows=st.integers(1, 6),
+    ridge=st.just(0.0) | st.floats(0.01, 2.0), seed=SEEDS,
+)
+def test_batched_least_squares_matches_per_node_models(n, p, rows, ridge, seed):
+    assume(n * rows >= p)
+    _check_batched(make_least_squares(n, p, rows, seed, ridge=ridge), seed)
+
+
+@PROPERTY
+@given(
+    n=NODES, p=DIMS, m=SAMPLES, lam=st.floats(0.05, 1.0), mean_scaled=st.booleans(),
+    bias_ridge=st.just(0.0) | st.floats(0.01, 1.0), seed=SEEDS,
+)
+def test_batched_logistic_matches_per_node_models(n, p, m, lam, mean_scaled, bias_ridge, seed):
+    prob = make_logistic(n, p, m, lam, seed, mean_scaled=mean_scaled, bias_ridge=bias_ridge)
+    _check_batched(prob, seed)
+
+
+@PROPERTY
+@given(
+    n=NODES, p=DIMS, m=SAMPLES, margin_weight=st.just(0.0) | st.floats(0.1, 3.0),
+    smoothness=st.floats(1.0, 10.0), seed=SEEDS,
+)
+def test_batched_svm_matches_per_node_models(n, p, m, margin_weight, smoothness, seed):
+    _check_batched(make_smooth_svm(n, p, m, margin_weight, smoothness, seed), seed)
+
+
+@pytest.mark.parametrize("factory", ALL_FACTORIES)
+def test_per_node_models_are_views_of_the_stacked_data(factory):
+    prob = factory()
+    stacked = [v for v in vars(prob).values() if isinstance(v, np.ndarray) and v.ndim >= 2]
+    for model in prob.locals:
+        arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+        assert arrays and all(any(a.base is s for s in stacked) for a in arrays)

@@ -72,9 +72,18 @@ def test_single_node_reduces_to_gradient_descent():
     assert np.linalg.norm(x - prob.z_star) < 1e-3
 
 
-def test_zero_delay_engines_are_bitwise_identical():
+@pytest.mark.parametrize(
+    "make_problem",
+    [
+        lambda: costs.make_quadratic(6, 3, 5),
+        lambda: costs.make_logistic(6, 3, 12, 0.1, 5),
+        lambda: costs.make_smooth_svm(6, 3, 12, 1.0, 5.0, 5),
+    ],
+    ids=["quadratic", "logistic", "svm"],
+)
+def test_zero_delay_engines_are_bitwise_identical(make_problem):
     setting = make_setting(6, 0, 11, 0, mode="zero")
-    prob = costs.make_quadratic(6, 3, 5)
+    prob = make_problem()
     e_dtac, e_base, e_aug = (
         cls(prob, init_states(prob, 6, 1), setting.weights, setting.delays, 0.01)
         for cls in (DtacEngine, AddOptEngine, AugmentedEngine)
@@ -85,6 +94,7 @@ def test_zero_delay_engines_are_bitwise_identical():
         e_aug.step()
         assert np.array_equal(e_dtac.W, e_base.W)
         assert np.array_equal(e_dtac.W, e_aug.W_hat[:6])
+    assert np.all(np.isfinite(e_dtac.W))
 
 
 def test_oracle_equivalence_under_delays():
