@@ -1,10 +1,11 @@
 """Command-line harness: run, sweep, spectral, check-bound, selftest.
 
-Exit codes: 0 ok, 1 config error (including a graph that cannot be sampled
-strongly connected and costs whose centralized oracle misses its tolerance),
-2 engine fault, 3 no certified step size, 4 selftest failure.  Human-readable
-status goes to stdout, machine-readable data to files under --out, errors to
-stderr.
+Exit codes: 0 ok, 1 config error (a bad key or value, an unreadable input
+file, a graph that cannot be sampled strongly connected, or costs whose
+centralized oracle misses its tolerance), 2 engine fault, 3 no certified step
+size, 4 selftest failure.  `main` maps errors to exit codes for every
+subcommand.  Human-readable status goes to stdout, machine-readable data to
+files under --out, errors to stderr.
 """
 
 from __future__ import annotations
@@ -45,41 +46,22 @@ def _load(args) -> ExperimentConfig:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load(args)
-        result = None
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        try:
-            problem = build_problem(cfg)
-            setting = build_setting(cfg)
-            run_cfg = build_run_config(cfg)
-            result = optimizer.run(run_cfg, setting, problem)
-        except EngineFault as exc:
-            print(f"engine fault: {exc}", file=sys.stderr)
-            return EXIT_ENGINE
-        tag = cfg.get("experiment.tag")
-        trace_path = outdir / f"{tag}_trace.csv"
-        write_trace(result.records, trace_path)
-        print(result.status_line())
-        print(f"trace: {trace_path}")
-        return EXIT_OK
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load(args)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    problem = build_problem(cfg)
+    setting = build_setting(cfg)
+    result = optimizer.run(build_run_config(cfg), setting, problem)
+    tag = cfg.get("experiment.tag")
+    trace_path = outdir / f"{tag}_trace.csv"
+    write_trace(result.records, trace_path)
+    print(result.status_line())
+    print(f"trace: {trace_path}")
+    return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    try:
-        cfg = _load(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        summaries = run_experiment(cfg, args.out)
-    except EngineFault as exc:
-        print(f"engine fault: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
+    summaries = run_experiment(_load(args), args.out)
     for s in summaries:
         print(
             f"tau_max={s.tau_max} alpha={s.alpha!r} {s.status} "
@@ -89,16 +71,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        cfg = _load(args)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        results = compare_engines(cfg, args.out)
-    except EngineFault as exc:
-        print(f"engine fault: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
+    results = compare_engines(_load(args), args.out)
     print("delay-tolerant: " + results["delayed"].status_line())
     print("delay-free:     " + results["baseline"].status_line())
     return EXIT_OK
@@ -144,11 +117,7 @@ def _bound_from_report(report, problem):
 
 
 def cmd_spectral(args) -> int:
-    try:
-        cfg, C, d, problem = _spectral_inputs(args)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg, C, d, problem = _spectral_inputs(args)
     report = spectral.build_spectral_report(C.entries, d)
     for line in report.lines():
         print(line)
@@ -181,11 +150,7 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_check_bound(args) -> int:
-    try:
-        cfg, C, d, problem = _spectral_inputs(args)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg, C, d, problem = _spectral_inputs(args)
     report = spectral.build_spectral_report(C.entries, d)
     try:
         bound = _bound_from_report(report, problem)
@@ -444,7 +409,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (graphs.RetryBudgetError, costs.OracleError) as exc:
+    except EngineFault as exc:
+        print(f"engine fault: {exc}", file=sys.stderr)
+        return EXIT_ENGINE
+    # ValueError covers ConfigError and numpy's LinAlgError
+    except (ValueError, OSError, graphs.RetryBudgetError, costs.OracleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

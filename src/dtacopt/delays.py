@@ -18,7 +18,7 @@ some of it is in transit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pathlib import Path
 
@@ -138,18 +138,15 @@ def build_delay_slices(C: WeightMatrix | np.ndarray, d: DelayMap) -> DelaySlices
 
 @dataclass(eq=False)
 class AugmentedMatrix:
-    """The n(tau_max+1)-dimensional delayed-mixing matrix.
-
-    ``limit`` (the rank-one power limit) and ``perron`` (its column vector)
-    are filled in lazily by the spectral module.
+    """The n(tau_max+1)-dimensional delayed-mixing matrix and the slices it
+    was assembled from.  Spectral quantities (its Perron vector and rank-one
+    limit) are computed on demand by the spectral module, not stored here.
     """
 
     entries: np.ndarray
     n: int
     tau_max: int
     slices: DelaySlices
-    limit: np.ndarray | None = field(default=None, repr=False)
-    perron: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:

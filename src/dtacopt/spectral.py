@@ -5,7 +5,8 @@ This module certifies the quantities the convergence argument runs on:
 * the spectral-radius relation between a matrix and its delay augmentation,
   rho(aug(A)) <= rho(A)^(1/(1+tau_max)) for substochastic A (equality at 1
   for column-stochastic A);
-* the rank-one power limit of the augmented matrix and its column vector;
+* the rank-one limit pi 1^T of the augmented matrix, with its Perron vector
+  pi obtained by one linear solve (no power iteration);
 * the contraction factor sigma = rho(Cbar - Cbar_inf), the asymptotic
   per-step rate at which delayed mixing forgets disagreement.  The induced
   2-norm of the same difference is also reported but is >= 1 for every
@@ -43,58 +44,53 @@ def spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def limit_matrix(
-    M: AugmentedMatrix | np.ndarray,
-    tol: float = 1e-13,
-    max_iters: int = 200_000,
-) -> np.ndarray:
-    """Power limit lim_k M^k, computed by iterating P <- P @ M from P = M.
+def _minus_identity(M: np.ndarray) -> np.ndarray:
+    """M - I without allocating I (the spectral report runs at N in the
+    hundreds, where every N x N temporary shows in its peak memory)."""
+    K = M.copy()
+    K[np.diag_indices(K.shape[0])] -= 1.0
+    return K
 
-    Converges to the rank-one matrix pi 1^T for column-stochastic M with an
-    aperiodic recurrent class (positive diagonals on the live block give
-    that here), and to 0 for substochastic M.  Raises if successive iterates
-    still move after `max_iters` products, which signals periodicity or a
-    violated precondition.
 
-    When given an AugmentedMatrix the result and its column vector are
-    cached on the object (`limit`, `perron`).
+def perron_vector(M: AugmentedMatrix | np.ndarray) -> np.ndarray:
+    """Right Perron vector pi of a column-stochastic matrix: M pi = pi,
+    1^T pi = 1, by one linear solve of (M - I) with its last row set to ones
+    against e_N.
+
+    Needs a single recurrent class, which every strongly connected weight
+    design and its delay augmentation have; entries on dead slots are 0.
+    Raises ValueError when the columns do not sum to 1 within 1e-12, and
+    numpy's LinAlgError (a ValueError) when the system is singular.
     """
-    aug = M if isinstance(M, AugmentedMatrix) else None
-    if aug is not None and aug.limit is not None:
-        return aug.limit
-    A = aug.entries if aug is not None else np.asarray(M, dtype=float)
-    P = A.copy()
-    for _ in range(max_iters):
-        Q = P @ A
-        if np.max(np.abs(Q - P)) < tol:
-            P = Q
-            break
-        P = Q
-    else:
-        raise RuntimeError(f"power limit did not settle in {max_iters} products")
-    if aug is not None:
-        aug.limit = P
-        aug.perron = P.mean(axis=1)
-    return P
+    A = M.entries if isinstance(M, AugmentedMatrix) else np.asarray(M, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("Perron vector needs a square matrix")
+    if np.max(np.abs(A.sum(axis=0) - 1.0)) > 1e-12:
+        raise ValueError("Perron vector needs a column-stochastic matrix")
+    K = _minus_identity(A)
+    K[-1] = 1.0
+    e = np.zeros(K.shape[0])
+    e[-1] = 1.0
+    return np.linalg.solve(K, e)
 
 
-def perron_vector(aug: AugmentedMatrix, tol: float = 1e-13) -> np.ndarray:
-    """Nonnegative column vector of the rank-one power limit (sums to 1 for
-    column-stochastic input; entries on dead slots are 0)."""
-    limit_matrix(aug, tol=tol)
-    assert aug.perron is not None
-    return aug.perron
+def limit_matrix(M: AugmentedMatrix | np.ndarray) -> np.ndarray:
+    """Rank-one limit pi 1^T of a column-stochastic matrix: lim_k M^k when M
+    is aperiodic (positive diagonals on the live block give that here).  For
+    a periodic chain the powers have no limit, and the contraction factor
+    against this matrix is 1."""
+    pi = perron_vector(M)
+    return np.outer(pi, np.ones(pi.size))
 
 
-def contraction_sigma(aug: AugmentedMatrix | np.ndarray, tol: float = 1e-13) -> float:
+def contraction_sigma(aug: AugmentedMatrix | np.ndarray) -> float:
     """Contraction factor rho(M - limit(M)): the asymptotic per-step rate at
     which mixing forgets disagreement (the second-largest eigenvalue modulus
     for a stochastic M).  Strictly below 1 for every strongly connected
     weight design; tends to 1 as the delay bound grows.
     """
-    P = limit_matrix(aug, tol=tol)
     M = aug.entries if isinstance(aug, AugmentedMatrix) else np.asarray(aug, dtype=float)
-    return spectral_radius(M - P)
+    return spectral_radius(M - limit_matrix(aug))
 
 
 def verify_spectral_bound(C: np.ndarray, tau_max: int, d: DelayMap) -> bool:
@@ -135,15 +131,18 @@ class MixingConstants:
 
 
 def measure_mixing_constants(
-    aug: AugmentedMatrix, horizon: int = 500, tol: float = 1e-13
+    aug: AugmentedMatrix, horizon: int = 500, pi: np.ndarray | None = None
 ) -> MixingConstants:
     """Run the weight recursion from (1_n; 0; ...; 0) and record sup norms
-    plus a least-squares geometric fit of the decay toward the limit."""
+    plus a least-squares geometric fit of the decay toward the limit.
+
+    `pi` is the Perron vector of aug when the caller already holds it."""
     n = aug.n
     N = aug.dim
     y = np.zeros(N)
     y[:n] = 1.0
-    pi = perron_vector(aug, tol=tol)
+    if pi is None:
+        pi = perron_vector(aug)
     y_inf = float(n) * pi
     y_sup = 0.0
     y_inv_sup = 0.0
@@ -357,18 +356,19 @@ def build_spectral_report(
     rho_C = spectral_radius(C)
     rho_Cbar = spectral_radius(aug.entries)
     bound = rho_C ** (1.0 / (1.0 + d.tau_max))
-    sigma = contraction_sigma(aug)
+    P = limit_matrix(aug)
+    pi = P[:, 0].copy()
     C_inf = limit_matrix(C)
+    sigma = spectral_radius(aug.entries - P)
     sigma1 = spectral_radius(C - C_inf)
-    sigma_norm2 = float(np.linalg.norm(aug.entries - aug.limit, 2))
+    sigma_norm2 = float(np.linalg.norm(aug.entries - P, 2))
     sigma1_norm2 = float(np.linalg.norm(C - C_inf, 2))
-    eye_n = np.eye(n)
-    eye_N = np.eye(aug.dim)
-    kappa = float(np.linalg.norm(C - eye_n, 2))
-    epsilon = float(np.linalg.norm(eye_n - C_inf, 2))
-    kappa_aug = float(np.linalg.norm(aug.entries - eye_N, 2))
-    epsilon_aug = float(np.linalg.norm(eye_N - aug.limit, 2))
-    mix = measure_mixing_constants(aug, horizon=horizon)
+    kappa = float(np.linalg.norm(_minus_identity(C), 2))
+    # ||I - X|| = ||X - I||
+    epsilon = float(np.linalg.norm(_minus_identity(C_inf), 2))
+    kappa_aug = float(np.linalg.norm(_minus_identity(aug.entries), 2))
+    epsilon_aug = float(np.linalg.norm(_minus_identity(P), 2))
+    mix = measure_mixing_constants(aug, horizon=horizon, pi=pi)
     return SpectralReport(
         n=n,
         tau_max=d.tau_max,
@@ -387,5 +387,5 @@ def build_spectral_report(
         y_minus=mix.y_inv_sup,
         gamma1=mix.gamma1,
         envelope_T=mix.envelope_T,
-        perron=perron_vector(aug),
+        perron=pi,
     )

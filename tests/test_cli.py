@@ -63,6 +63,17 @@ def test_unsampleable_graph_is_a_config_error(command, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_switching_exponential_graph_is_a_config_error(command, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "dtacopt.cli", command, "--out", str(tmp_path),
+         "--set", "switching.enabled=true", "--set", "graph.type=exponential"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "config error: switching schedules support erdos-renyi graphs only\n"
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "compare", "spectral", "check-bound"])
 @pytest.mark.parametrize("cost", ["logistic", "svm"])
 def test_oracle_failure_is_a_config_error(command, cost, tmp_path, monkeypatch, capsys):

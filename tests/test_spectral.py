@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtacopt import costs
 from dtacopt.delays import DelayMap, assign_delays, build_augmented_matrix, build_delay_slices
@@ -49,21 +51,47 @@ def test_spectral_radius_known_values():
         spectral_radius(np.ones((2, 3)))
 
 
+def _power_limit(M: np.ndarray) -> np.ndarray:
+    """Test oracle: the power limit lim_k M^k by iterating P <- P @ M."""
+    P = M.copy()
+    for _ in range(200_000):
+        Q = P @ M
+        if np.max(np.abs(Q - P)) < 1e-15:
+            return Q
+        P = Q
+    raise AssertionError("power limit did not settle")
+
+
+def _shift_register_perron(aug) -> np.ndarray:
+    """Test oracle: v_0 = Perron vector of C (by eig), v_r = sum_{s>=r} C_s v_0
+    for the in-flight slots, normalised to sum 1."""
+    S = aug.slices.slices
+    w, V = np.linalg.eig(S.sum(axis=0))
+    v0 = np.real(V[:, np.argmin(np.abs(w - 1.0))])
+    v = np.concatenate([S[r:].sum(axis=0) @ v0 for r in range(aug.tau_max + 1)])
+    return v / v.sum()
+
+
 def test_limit_matrix_rank_one_two_node():
     C = np.full((2, 2), 0.5)
     P = limit_matrix(C)
     assert np.allclose(P, 0.5, atol=1e-12)
+    with pytest.raises(ValueError, match="column-stochastic"):
+        limit_matrix(0.5 * np.eye(3))
 
 
-def test_limit_matrix_rejects_periodic_chains():
+def test_periodic_chain_gets_no_certificate():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])  # period-2, powers never settle
-    with pytest.raises(RuntimeError, match="did not settle"):
-        limit_matrix(swap, max_iters=500)
+    sigma = contraction_sigma(swap)  # the eigenvalue -1 survives the projection
+    assert sigma == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="outside"):
+        step_size_bound(2, 0, 1.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0)
+    # the computed sigma (1 - 1 ulp here) certifies nothing either, as `spectral` checks it
+    assert not (sigma < 1.0 and step_size_bound(2, 0, sigma, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0).admissible_max > 0.0)
 
 
 def test_limit_matrix_fixed_point_residuals():
     rng = np.random.default_rng(2)
-    tol = 1e-13
     for seed in range(5):
         n = int(rng.integers(3, 9))
         tau = int(rng.integers(0, 4))
@@ -71,9 +99,27 @@ def test_limit_matrix_fixed_point_residuals():
         C = build_column_stochastic_weights(g)
         d = assign_delays(g, tau, "uniform-random", seed=seed)
         aug = build_augmented_matrix(build_delay_slices(C, d), n)
-        P = limit_matrix(aug, tol=tol)
-        assert np.max(np.abs(aug.entries @ P - P)) < 2 * tol
-        assert np.max(np.abs(P @ P - P)) < 2 * tol
+        P = limit_matrix(aug)
+        assert np.max(np.abs(aug.entries @ P - P)) < 2e-13
+        assert np.max(np.abs(P @ P - P)) < 2e-13
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 8),
+    tau_max=st.integers(0, 4),
+    mode=st.sampled_from(["uniform-random", "homogeneous-max", "zero"]),
+    p=st.floats(0.3, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_perron_vector_matches_power_and_shift_register_oracles(n, tau_max, mode, p, seed):
+    g = generate_erdos_renyi(n, p, seed=seed)
+    C = build_column_stochastic_weights(g)
+    d = assign_delays(g, tau_max, mode, seed=seed)
+    aug = build_augmented_matrix(build_delay_slices(C, d), n)
+    pi = perron_vector(aug)
+    assert np.max(np.abs(pi - _power_limit(aug.entries).mean(axis=1))) < 1e-12
+    assert np.max(np.abs(pi - _shift_register_perron(aug))) < 1e-12
 
 
 def test_perron_vector_nonnegative_with_dead_slots_zero():
@@ -155,7 +201,7 @@ def test_mixing_constants_pilot_run():
     assert 0.0 < mix.gamma1 < 1.0
     assert mix.envelope_T > 0.0
     # the fitted envelope really bounds the decay it was fitted on
-    pi = aug.perron
+    pi = perron_vector(aug)
     y = np.zeros(aug.dim)
     y[:8] = 1.0
     y_inf = 8.0 * pi
@@ -315,7 +361,15 @@ def test_spectral_report_field_consistency():
     assert report.rho_Cbar == pytest.approx(1.0, abs=1e-9)
     assert 0 < report.sigma < 1
     assert report.sigma_norm2 >= report.sigma
+    assert report.sigma1_norm2 >= report.sigma1
     assert report.kappa > 0 and report.epsilon > 0
+    assert report.kappa_aug >= report.kappa
+    # I - pi 1^T is an oblique projection with the norm of pi 1^T
+    N = report.n * (report.tau_max + 1)
+    assert report.epsilon_aug == pytest.approx(np.sqrt(N) * np.linalg.norm(report.perron), rel=1e-13)
+    C = build_column_stochastic_weights(generate_erdos_renyi(6, 0.6, seed=50)).entries  # _report_and_problem's C
+    pi_C = perron_vector(C)
+    assert report.epsilon == pytest.approx(np.sqrt(report.n) * np.linalg.norm(pi_C), rel=1e-13)
     assert len(report.perron) == report.n * (report.tau_max + 1)
     rec = report.record()
     assert "sigma=" in rec and "\n" not in rec
