@@ -4,8 +4,9 @@ Exit codes: 0 ok, 1 config error (a bad key or value, an unreadable input
 file, a graph that cannot be sampled strongly connected, or costs whose
 centralized oracle misses its tolerance), 2 engine fault, 3 no certified step
 size, 4 selftest failure.  `main` maps errors to exit codes for every
-subcommand.  Human-readable status goes to stdout, machine-readable data to
-files under --out, errors to stderr.
+subcommand; `selftest` reports a suite that raises as failed.  Human-readable
+status goes to stdout, machine-readable data to files under --out, errors to
+stderr.
 """
 
 from __future__ import annotations
@@ -307,6 +308,10 @@ def run_selftest(inject_fault: str | None = None) -> tuple[bool, list[str]]:
             status = "PASS"
         except AssertionError as exc:
             status = f"FAIL ({exc})"
+            all_ok = False
+        # a suite that raises is a failed suite, not a config error
+        except Exception as exc:
+            status = f"FAIL ({type(exc).__name__}: {exc})"
             all_ok = False
         dt = time.perf_counter() - t0
         lines.append(f"SUITE {name:<22} {status}  [{dt:.2f}s]")

@@ -130,20 +130,14 @@ class MixingConstants:
     envelope_T: float
 
 
-def measure_mixing_constants(
-    aug: AugmentedMatrix, horizon: int = 500, pi: np.ndarray | None = None
-) -> MixingConstants:
+def measure_mixing_constants(aug: AugmentedMatrix, horizon: int = 500) -> MixingConstants:
     """Run the weight recursion from (1_n; 0; ...; 0) and record sup norms
-    plus a least-squares geometric fit of the decay toward the limit.
-
-    `pi` is the Perron vector of aug when the caller already holds it."""
+    plus a least-squares geometric fit of the decay toward the limit."""
     n = aug.n
     N = aug.dim
     y = np.zeros(N)
     y[:n] = 1.0
-    if pi is None:
-        pi = perron_vector(aug)
-    y_inf = float(n) * pi
+    y_inf = float(n) * perron_vector(aug)
     y_sup = 0.0
     y_inv_sup = 0.0
     gaps: list[float] = []
@@ -368,7 +362,7 @@ def build_spectral_report(
     epsilon = float(np.linalg.norm(_minus_identity(C_inf), 2))
     kappa_aug = float(np.linalg.norm(_minus_identity(aug.entries), 2))
     epsilon_aug = float(np.linalg.norm(_minus_identity(P), 2))
-    mix = measure_mixing_constants(aug, horizon=horizon, pi=pi)
+    mix = measure_mixing_constants(aug, horizon=horizon)
     return SpectralReport(
         n=n,
         tau_max=d.tau_max,

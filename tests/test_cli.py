@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dtacopt.cli import main, run_selftest
@@ -243,6 +244,21 @@ def test_selftest_fault_injection_trips_gradient_suite(capsys):
     assert code == 4
     assert "selftest failed: gradient-check" in captured.err
     assert "batched grads disagree" in captured.out
+
+
+def test_selftest_suite_that_raises_fails_with_exit_four(monkeypatch, capsys):
+    from dtacopt import cli
+
+    def singular(inject_fault):
+        np.linalg.solve(np.zeros((2, 2)), np.ones(2))
+
+    monkeypatch.setattr(cli, "SELFTEST_SUITES", [("singular", singular)])
+    code = main(["selftest"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "FAIL (LinAlgError: Singular matrix)" in captured.out
+    assert "selftest failed: singular" in captured.err
+    assert "config error" not in captured.err
 
 
 def test_selftest_helper_reports_suite_lines():
