@@ -227,15 +227,16 @@ def _suite_reduction(fault: str | None) -> None:
     C = graphs.build_column_stochastic_weights(g)
     d = delays.assign_delays(g, 0, "zero", 0)
     prob = costs.make_quadratic(6, 3, 5)
-    s1 = optimizer.init_states(prob, 6, 1)
-    s2 = optimizer.init_states(prob, 6, 1)
-    e1 = optimizer.DtacEngine(prob, s1, C, d, 0.01)
-    e2 = optimizer.AddOptEngine(prob, s2, C, d, 0.01)
+    base, *delayed = (
+        cls(prob, optimizer.init_states(prob, 6, 1), C, d, 0.01)
+        for cls in (optimizer.AddOptEngine, optimizer.DtacEngine, optimizer.AugmentedEngine)
+    )
     for _ in range(200):
-        e1.step()
-        e2.step()
-    if np.max(np.abs(e1.live_x - e2.live_x)) > 1e-14:
-        raise AssertionError("zero-delay engine does not reduce to the baseline")
+        base.step()
+        for e in delayed:
+            e.step()
+            if not np.array_equal(e.W, base.W):
+                raise AssertionError("zero-delay engine is not bitwise equal to the baseline")
 
 
 def _suite_equivalence(fault: str | None) -> None:

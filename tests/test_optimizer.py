@@ -2,9 +2,13 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtacopt import costs, delays, graphs, spectral
 from dtacopt.optimizer import (
+    _DENSE_BASE,
+    _DENSE_PER_NONZERO,
     ENGINES,
     AddOptEngine,
     AugmentedEngine,
@@ -15,6 +19,7 @@ from dtacopt.optimizer import (
     RunConfig,
     StaticSetting,
     SwitchingPlan,
+    _mixer,
     init_states,
     run,
     tracking_triple,
@@ -26,6 +31,19 @@ def make_setting(n, tau, gseed, dseed, p_edge=0.6, mode="uniform-random"):
     C = graphs.build_column_stochastic_weights(g)
     d = delays.assign_delays(g, tau, mode, seed=dseed)
     return StaticSetting(graph=g, weights=C, delays=d)
+
+
+def make_circulant_setting(n, tau, dseed, hops=(1, 7)):
+    """A sparse strongly connected setting: node i sends to i + h (mod n)."""
+    g = graphs.DirectedGraph(n, frozenset((i, (i + h) % n) for i in range(n) for h in hops))
+    C = graphs.build_column_stochastic_weights(g)
+    d = delays.assign_delays(g, tau, "uniform-random", seed=dseed)
+    return StaticSetting(graph=g, weights=C, delays=d)
+
+
+def multiplied_through_nonzeros(M):
+    """True iff the engines' product helper takes the bincount route for M."""
+    return M.size > _DENSE_BASE + _DENSE_PER_NONZERO * np.count_nonzero(M)
 
 
 def test_init_states_deterministic_and_seeded():
@@ -43,7 +61,9 @@ def test_init_states_deterministic_and_seeded():
 def test_in_transit_buffer_delivers_on_schedule():
     buf = InTransitBuffer(tau_max=3, n=2, width=3)
     pkt = np.ones((2, 3))
-    buf.put(5, pkt)  # nothing arrives before round 5
+    sends = np.zeros((4 * 2, 3))
+    sends[3 * 2 :] = pkt  # a round-2 send over delay 3: nothing arrives before round 5
+    buf.deposit(2, sends)
     for k in (3, 4):
         assert not buf.take(k).any()
     got = buf.take(5)
@@ -53,8 +73,8 @@ def test_in_transit_buffer_delivers_on_schedule():
 
 def test_in_transit_buffer_accumulates_same_round():
     buf = InTransitBuffer(tau_max=2, n=1, width=1)
-    buf.put(4, np.array([[1.0]]))
-    buf.put(4, np.array([[2.0]]))
+    buf.deposit(4, np.array([[1.0], [0.0], [0.0]]))
+    buf.deposit(2, np.array([[0.0], [0.0], [2.0]]))
     assert buf.take(4)[0, 0] == 3.0
 
 
@@ -72,46 +92,126 @@ def test_single_node_reduces_to_gradient_descent():
     assert np.linalg.norm(x - prob.z_star) < 1e-3
 
 
+def zero_delay_er6():
+    return make_setting(6, 0, 11, 0, mode="zero")
+
+
 @pytest.mark.parametrize(
-    "make_problem",
+    "n, setting, make_problem, rounds",
     [
-        lambda: costs.make_quadratic(6, 3, 5),
-        lambda: costs.make_logistic(6, 3, 12, 0.1, 5),
-        lambda: costs.make_smooth_svm(6, 3, 12, 1.0, 5.0, 5),
+        (6, zero_delay_er6, lambda: costs.make_quadratic(6, 3, 5), 300),
+        (6, zero_delay_er6, lambda: costs.make_logistic(6, 3, 12, 0.1, 5), 300),
+        (6, zero_delay_er6, lambda: costs.make_smooth_svm(6, 3, 12, 1.0, 5.0, 5), 300),
+        (200, lambda: make_circulant_setting(200, 0, 0), lambda: costs.make_quadratic(200, 3, 5), 100),
     ],
-    ids=["quadratic", "logistic", "svm"],
+    ids=["quadratic", "logistic", "svm", "quadratic-sparse-n200"],
 )
-def test_zero_delay_engines_are_bitwise_identical(make_problem):
-    setting = make_setting(6, 0, 11, 0, mode="zero")
+def test_zero_delay_engines_are_bitwise_identical(n, setting, make_problem, rounds):
+    setting = setting()
     prob = make_problem()
     e_dtac, e_base, e_aug = (
-        cls(prob, init_states(prob, 6, 1), setting.weights, setting.delays, 0.01)
+        cls(prob, init_states(prob, n, 1), setting.weights, setting.delays, 0.01)
         for cls in (DtacEngine, AddOptEngine, AugmentedEngine)
     )
-    for _ in range(300):
+    assert multiplied_through_nonzeros(setting.weights.entries) == (n == 200)
+    for _ in range(rounds):
         e_dtac.step()
         e_base.step()
         e_aug.step()
         assert np.array_equal(e_dtac.W, e_base.W)
-        assert np.array_equal(e_dtac.W, e_aug.W_hat[:6])
+        assert np.array_equal(e_dtac.W, e_aug.W_hat[:n])
     assert np.all(np.isfinite(e_dtac.W))
+
+
+@pytest.mark.parametrize("n", [6, 200])
+def test_per_node_reduces_bitwise_when_every_delay_is_below_the_bound(n):
+    """All delays zero under tau_max = 3: the per-node engine stacks no
+    slice past the largest delay in use, so it multiplies by C itself.  At
+    n = 200 all four slices would be multiplied through their nonzeros and
+    C alone is multiplied densely."""
+    g = graphs.generate_exponential_graph(n)
+    C = graphs.build_column_stochastic_weights(g)
+    d = delays.assign_delays(g, 3, "zero")
+    all_slices = delays.build_delay_slices(C, d).slices.reshape(-1, n)
+    assert multiplied_through_nonzeros(all_slices) == (n == 200)
+    assert not multiplied_through_nonzeros(C.entries)
+    prob = costs.make_quadratic(n, 3, 5)
+    e_dtac, e_base = (
+        cls(prob, init_states(prob, n, 1), C, d, 0.01) for cls in (DtacEngine, AddOptEngine)
+    )
+    for _ in range(100):
+        e_dtac.step()
+        e_base.step()
+        assert np.array_equal(e_dtac.W, e_base.W)
 
 
 def test_oracle_equivalence_under_delays():
     rng = np.random.default_rng(0)
+    cases = []
     for trial in range(4):
         n = int(rng.integers(3, 9))
         tau = int(rng.integers(1, 4))
-        setting = make_setting(n, tau, 20 + trial, 30 + trial)
-        prob = costs.make_quadratic(n, 3, 40 + trial)
+        cases.append((n, make_setting(n, tau, 20 + trial, 30 + trial), 40 + trial, 300))
+    # one instance whose stacked slices and augmented matrix are multiplied
+    # through their nonzeros
+    sparse = make_circulant_setting(128, 3, 34, hops=(1, 5))
+    slices = delays.build_delay_slices(sparse.weights, sparse.delays).slices
+    assert multiplied_through_nonzeros(slices.reshape(-1, 128))
+    cases.append((128, sparse, 44, 60))
+    for n, setting, cost_seed, rounds in cases:
+        prob = costs.make_quadratic(n, 3, cost_seed)
         e1 = DtacEngine(prob, init_states(prob, n, 7), setting.weights, setting.delays, 0.003)
         e2 = AugmentedEngine(prob, init_states(prob, n, 7), setting.weights, setting.delays, 0.003)
-        for _ in range(300):
+        if n == 128:
+            assert multiplied_through_nonzeros(e2.aug.entries)
+        for _ in range(rounds):
             e1.step()
             e2.step()
             assert np.max(np.abs(e1.live_x - e2.live_x)) < 1e-10
             assert np.max(np.abs(e1.live_y - e2.live_y)) < 1e-10
             assert np.max(np.abs(e1.live_g - e2.live_g)) < 1e-10
+
+
+@st.composite
+def mixing_products(draw):
+    """A (blocks n, n) matrix on a drawn side of the dense/nonzero threshold,
+    with empty rows, and a block of 3-21 columns to multiply."""
+    sparse = draw(st.booleans())
+    n = draw(st.integers(1, 60))
+    blocks = draw(st.integers(1, 8))  # blocks > 1: stacked delay slices
+    if sparse:  # enough entries for the nonzero route
+        blocks = max(blocks, _DENSE_BASE // (n * n) + 1)
+    m = blocks * n
+    width = draw(st.integers(3, 21))
+    most_sparse = (m * n - _DENSE_BASE - 1) // _DENSE_PER_NONZERO
+    if sparse:
+        nnz = draw(st.integers(0, min(most_sparse, m * n)))
+    else:
+        nnz = draw(st.integers(max(most_sparse + 1, 0), m * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = np.zeros(m * n)
+    M[rng.choice(m * n, nnz, replace=False)] = rng.uniform(0.5, 2.0, nnz) * rng.choice([-1, 1], nnz)
+    M = M.reshape(m, n)
+    M[rng.random(m) < draw(st.floats(0.0, 0.5))] = 0.0
+    X = rng.standard_normal((n, width)) * 10.0 ** rng.uniform(-3, 3)
+    return M, X
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mixing_products())
+def test_mixer_matches_the_dense_product(case):
+    M, X = case
+    width = X.shape[1]
+    got = _mixer(M, width)(X)
+    scale = np.abs(M) @ np.abs(X)
+    assert got.shape == (M.shape[0], width)
+    assert np.all(np.abs(got - M @ X) <= 1e-13 * scale)
+    twin = M.copy()
+    mix = _mixer(twin, width)
+    assert np.array_equal(mix(X), got)  # equal matrices, bitwise-equal products
+    if multiplied_through_nonzeros(M):
+        twin[:] = 0.0  # the nonzero route holds no reference to its matrix
+        assert np.array_equal(mix(X), got)
 
 
 def test_two_node_quadratic_matches_oracle_tightly():
