@@ -18,7 +18,6 @@ from .delays import (
     assign_delays,
     build_augmented_matrix,
     build_delay_slices,
-    indicator,
 )
 from .graphs import (
     DirectedGraph,

@@ -3,10 +3,10 @@
 Exit codes: 0 ok, 1 config error (a bad key or value, an unreadable input
 file, a graph that cannot be sampled strongly connected, or costs whose
 centralized oracle misses its tolerance), 2 engine fault, 3 no certified step
-size, 4 selftest failure.  `main` maps errors to exit codes for every
-subcommand; `selftest` reports a suite that raises as failed.  Human-readable
-status goes to stdout, machine-readable data to files under --out, errors to
-stderr.
+size (sigma >= 1, or a bound that is not a finite positive number), 4
+selftest failure.  `main` maps errors to exit codes for every subcommand;
+`selftest` reports a suite that raises as failed.  Human-readable status goes
+to stdout, machine-readable data to files under --out, errors to stderr.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from .experiment import (
     ConfigError,
     ExperimentConfig,
     apply_overrides,
+    build_graph,
     build_problem,
-    build_run_config,
-    build_setting,
     compare_engines,
     config_help_lines,
+    execute_run,
     load_config,
     run_experiment,
     write_trace,
@@ -50,9 +50,7 @@ def cmd_run(args) -> int:
     cfg = _load(args)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    problem = build_problem(cfg)
-    setting = build_setting(cfg)
-    result = optimizer.run(build_run_config(cfg), setting, problem)
+    result = execute_run(cfg)
     tag = cfg.get("experiment.tag")
     trace_path = outdir / f"{tag}_trace.csv"
     write_trace(result.records, trace_path)
@@ -78,85 +76,61 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _spectral_inputs(args):
-    """Resolve (C, delay map, problem constants) from files or config."""
+def _certify(args):
+    """Resolve the graph (from --graph-file, else the config) and the delays
+    (from --delay-file, else drawn on that graph from the config), then build
+    the spectral report and the step-size bound.
+
+    Returns (cfg, report, bound, reason); bound is None, with the reason, when
+    no step size is certified.
+    """
     cfg = _load(args)
     if args.graph_file:
         g = graphs.load_edge_list(args.graph_file)
         if not graphs.is_strongly_connected(g):
             raise ConfigError("graph file is not strongly connected")
-        if args.delay_file:
-            d = delays.load_delay_map(args.delay_file, tau_max=cfg.get("delay.tau_max") if args.use_config_tau else None)
-        else:
-            d = delays.assign_delays(
-                g, cfg.get("delay.tau_max"), cfg.get("delay.mode"), cfg.get("delay.seed")
-            )
     else:
-        from .experiment import build_graph
-
         g = build_graph(cfg)
+    if args.delay_file:
+        d = delays.load_delay_map(args.delay_file)
+    else:
         d = delays.assign_delays(
             g, cfg.get("delay.tau_max"), cfg.get("delay.mode"), cfg.get("delay.seed")
         )
     C = graphs.build_column_stochastic_weights(g)
     problem = build_problem(cfg.with_overrides(**{"graph.n": g.n}))
-    return cfg, C, d, problem
-
-
-def _bound_from_report(report, problem):
-    return spectral.step_size_bound(
-        n=report.n,
-        tau_max=report.tau_max,
-        sigma=report.sigma,
-        kappa=report.kappa,
-        epsilon=report.epsilon,
-        l=problem.l,
-        s=problem.s,
-        y=report.y,
-        y_minus=report.y_minus,
-    )
+    report = spectral.build_spectral_report(C.entries, d)
+    try:
+        bound = spectral.step_size_bound(
+            n=report.n, tau_max=report.tau_max, sigma=report.sigma,
+            kappa=report.kappa, epsilon=report.epsilon, l=problem.l, s=problem.s,
+            y=report.y, y_minus=report.y_minus,
+        )
+    except ValueError as exc:
+        return cfg, report, None, str(exc)
+    return cfg, report, bound, ""
 
 
 def cmd_spectral(args) -> int:
-    cfg, C, d, problem = _spectral_inputs(args)
-    report = spectral.build_spectral_report(C.entries, d)
+    _cfg, report, bound, reason = _certify(args)
+    names = ("delta", "theta", "alpha3", "cap", "admissible_max")
+    pairs = [(k, getattr(bound, k)) for k in names] if bound is not None else []
     for line in report.lines():
         print(line)
-    bound_err = None
-    try:
-        bound = _bound_from_report(report, problem)
-    except ValueError as exc:
-        bound_err = str(exc)
-        bound = None
-    if bound is not None:
-        print(f"{'delta':<13}  {bound.delta!r}")
-        print(f"{'theta':<13}  {bound.theta!r}")
-        print(f"{'alpha3':<13}  {bound.alpha3!r}")
-        print(f"{'cap':<13}  {bound.cap!r}")
-        print(f"{'admissible':<13}  {bound.admissible_max!r}")
+    for k, v in pairs:  # the table says `admissible`, the record `admissible_max`
+        print(f"{k.removesuffix('_max'):<13}  {v!r}")
     if args.record:
-        extra = ""
-        if bound is not None:
-            extra = (
-                f" delta={bound.delta!r} theta={bound.theta!r}"
-                f" alpha3={bound.alpha3!r} cap={bound.cap!r}"
-                f" admissible_max={bound.admissible_max!r}"
-            )
-        print(report.record() + extra)
-    if bound is None or not (report.sigma < 1.0 and bound.admissible_max > 0.0):
-        msg = bound_err or "sigma >= 1"
-        print(f"no certified step size: {msg}", file=sys.stderr)
+        print(report.record() + "".join(f" {k}={v!r}" for k, v in pairs))
+    if bound is None:
+        print(f"no certified step size: {reason}", file=sys.stderr)
         return EXIT_NO_STEP_SIZE
     return EXIT_OK
 
 
 def cmd_check_bound(args) -> int:
-    cfg, C, d, problem = _spectral_inputs(args)
-    report = spectral.build_spectral_report(C.entries, d)
-    try:
-        bound = _bound_from_report(report, problem)
-    except ValueError as exc:
-        print(f"no certified step size: {exc}", file=sys.stderr)
+    cfg, _report, bound, reason = _certify(args)
+    if bound is None:
+        print(f"no certified step size: {reason}", file=sys.stderr)
         return EXIT_NO_STEP_SIZE
     alpha = cfg.get("run.alpha")
     verdict = "CERTIFIED" if bound.certifies(alpha) else "UNCERTIFIED"
@@ -343,11 +317,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _add_spectral_inputs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph-file", help="edge list `j i` per line")
-    parser.add_argument("--delay-file", help="delay list `j i tau` per line")
     parser.add_argument(
-        "--use-config-tau",
-        action="store_true",
-        help="take tau_max from the config instead of the delay file maximum",
+        "--delay-file",
+        help="delay list `j i tau` per line; tau_max is its largest delay",
     )
 
 

@@ -47,19 +47,6 @@ class DelayMap:
         return self.tau[edge]
 
 
-def indicator(d: DelayMap, edge: Edge, r: int, k: int | None = None) -> int:
-    """1 iff the edge's delay equals r.
-
-    Delays are time-invariant here, so the round argument k is accepted for
-    interface compatibility and ignored.
-    """
-    if edge not in d.tau:
-        raise KeyError(f"edge {edge} not in delay map")
-    if not (0 <= r <= d.tau_max):
-        raise ValueError(f"r={r} outside [0, {d.tau_max}]")
-    return 1 if d.tau[edge] == r else 0
-
-
 def assign_delays(
     g: DirectedGraph,
     tau_max: int,
@@ -176,25 +163,6 @@ def assemble_augmented(slices: DelaySlices) -> AugmentedMatrix:
     for r in range(1, T + 1):
         M[(r - 1) * n : r * n, r * n : (r + 1) * n] = eye
     return AugmentedMatrix(entries=M, n=n, tau_max=T, slices=slices)
-
-
-def augmented_support(aug: AugmentedMatrix) -> np.ndarray:
-    """Boolean mask of augmented coordinates that can ever carry mass.
-
-    Slot r of node i is live iff some in-link of i has delay >= r; slots
-    above a node's largest in-delay are structurally dead (they receive
-    nothing, ever) and stay identically zero along every trajectory.
-    """
-    n, T = aug.n, aug.tau_max
-    mask = np.zeros(n * (T + 1), dtype=bool)
-    mask[:n] = True
-    # row i of slice r is nonzero iff some in-link of i has delay exactly r
-    fed = aug.slices.slices.any(axis=2)  # (T+1, n): slot r fed directly
-    for i in range(n):
-        top = max((r for r in range(T + 1) if fed[r, i]), default=0)
-        for r in range(1, top + 1):
-            mask[r * n + i] = True
-    return mask
 
 
 def dump_delay_map(d: DelayMap, path: str | Path) -> None:

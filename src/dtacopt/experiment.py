@@ -103,9 +103,7 @@ class ExperimentConfig:
         return self.values[key]
 
     def with_overrides(self, **flat: object) -> "ExperimentConfig":
-        vals = dict(self.values)
-        vals.update(flat)
-        return validate_config(vals)
+        return validate_config({**self.values, **flat})
 
 
 def parse_config_text(text: str) -> dict:
@@ -127,18 +125,21 @@ def parse_config_text(text: str) -> dict:
 
 
 def validate_config(values: dict) -> ExperimentConfig:
+    """The one check of a config: reject unknown keys, parse string values,
+    fill defaults and enforce every range and choice.  Config files, `--set`
+    and `with_overrides` all end here."""
+    unknown = sorted(set(values) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r}")
     full: dict = {}
     for key, (parser, default, _help) in CONFIG_KEYS.items():
-        if key in values:
-            v = values[key]
-            if isinstance(v, str):
-                try:
-                    v = parser(v)
-                except (ValueError, TypeError) as exc:
-                    raise ConfigError(f"key {key!r}: {exc}") from None
-            full[key] = v
-        else:
-            full[key] = default
+        v = values.get(key, default)
+        if isinstance(v, str):
+            try:
+                v = parser(v)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"key {key!r}: {exc}") from None
+        full[key] = v
     for key, choices in _CHOICES.items():
         if full[key] not in choices:
             raise ConfigError(f"key {key!r}: must be one of {choices}")
@@ -166,42 +167,24 @@ def validate_config(values: dict) -> ExperimentConfig:
     return ExperimentConfig(values=full)
 
 
-def load_config(source: str | Path | None) -> ExperimentConfig:
-    """Load a config from a file path or inline text; None or empty input
-    yields all defaults."""
-    if source is None:
+def load_config(path: str | Path | None) -> ExperimentConfig:
+    """Load a config file; None yields all defaults."""
+    if path is None:
         return validate_config({})
-    if isinstance(source, Path):
-        text = source.read_text()
-    else:
-        text = source
-        if "\n" not in text and text.strip():
-            if Path(text).exists():
-                text = Path(text).read_text()
-            elif "=" not in text:
-                raise ConfigError(f"config file not found: {source}")
-    return validate_config(parse_config_text(text))
+    if not Path(path).exists():
+        raise ConfigError(f"config file not found: {path}")
+    return validate_config(parse_config_text(Path(path).read_text()))
 
 
 def apply_overrides(cfg: ExperimentConfig, pairs: list[str]) -> ExperimentConfig:
     """Apply repeatable `--set section.key=value` strings on top of cfg."""
     raw = {}
     for pair in pairs:
-        if "=" not in pair:
+        key, eq, value = pair.partition("=")
+        if not eq:
             raise ConfigError(f"override {pair!r}: expected section.key=value")
-        key, _, value = pair.partition("=")
-        key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"override: unknown key {key!r}")
-        raw[key] = value.strip()
-    merged = dict(cfg.values)
-    for key, value in raw.items():
-        parser = CONFIG_KEYS[key][0]
-        try:
-            merged[key] = parser(value)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"override {key!r}: {exc}") from None
-    return validate_config(merged)
+        raw[key.strip()] = value.strip()
+    return validate_config({**cfg.values, **raw})
 
 
 def config_help_lines() -> list[str]:
@@ -279,17 +262,6 @@ def build_setting(cfg: ExperimentConfig) -> StaticSetting | SwitchingPlan:
     return StaticSetting(graph=g, weights=C, delays=d)
 
 
-def build_run_config(cfg: ExperimentConfig) -> RunConfig:
-    return RunConfig(
-        alpha=cfg.get("run.alpha"),
-        max_iters=cfg.get("run.max_iters"),
-        tol=cfg.get("run.tol"),
-        record_every=cfg.get("run.record_every"),
-        engine=cfg.get("run.engine"),
-        init_seed=cfg.get("run.init_seed"),
-    )
-
-
 def write_trace(records: list[TraceRecord], path: Path) -> None:
     lines = [TRACE_HEADER]
     lines.extend(rec.as_csv_row() for rec in records)
@@ -320,7 +292,14 @@ def execute_run(cfg: ExperimentConfig) -> RunResult:
     """Run one configured experiment point."""
     problem = build_problem(cfg)
     setting = build_setting(cfg)
-    run_cfg = build_run_config(cfg)
+    run_cfg = RunConfig(
+        alpha=cfg.get("run.alpha"),
+        max_iters=cfg.get("run.max_iters"),
+        tol=cfg.get("run.tol"),
+        record_every=cfg.get("run.record_every"),
+        engine=cfg.get("run.engine"),
+        init_seed=cfg.get("run.init_seed"),
+    )
     return optimizer.run(run_cfg, setting, problem)
 
 

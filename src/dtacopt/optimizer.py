@@ -354,9 +354,13 @@ class TraceRecord:
 TRACE_HEADER = "iter,optimality_gap,mse,consensus_error,grad_tracker_sum_error,mass_error"
 
 
+# a run whose mean squared distance to z* passes this is DIVERGED
+DIVERGENCE_MSE = 1e12
+
+
 @dataclass
 class RunConfig:
-    """Knobs of a single run."""
+    """Knobs of a single run; `experiment.validate_config` checks them."""
 
     alpha: float
     max_iters: int = 20000
@@ -364,17 +368,6 @@ class RunConfig:
     record_every: int = 1
     engine: str = "per-node"
     init_seed: int = 3
-    divergence_mse: float = 1e12
-
-    def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}")
 
 
 @dataclass(frozen=True)
@@ -477,7 +470,7 @@ def run(
         last = _metrics(engine, problem)
         if engine.k % config.record_every == 0:
             records.append(last)
-        if not np.isfinite(last.mse) or last.mse > config.divergence_mse:
+        if not np.isfinite(last.mse) or last.mse > DIVERGENCE_MSE:
             status = "DIVERGED"
             break
         if last.optimality_gap < config.tol:
@@ -492,55 +485,3 @@ def run(
         final_mse=last.mse,
         records=records,
     )
-
-
-class ContractionMonitor:
-    """Accumulates the error-triple recursion t_k <= G t_{k-1} + H_{k-1} s_{k-1}
-    along an augmented-engine run and logs the worst per-row tightness.
-
-    Call observe() once per engine step; `worst_ratios` holds, per row, the
-    largest observed t_k / rhs_k.  The G used here should carry the measured
-    operator-norm contraction (sigma_norm2 of the spectral report): the
-    one-step inequality needs a norm bound, not the asymptotic rate.
-    """
-
-    def __init__(self, G_builder, limit: np.ndarray, z_star: np.ndarray) -> None:
-        self.G_builder = G_builder  # k -> ContractionMatrices
-        self.limit = limit
-        self.z_star = z_star
-        self.worst_ratios = np.zeros(3)
-        self._prev: tuple[np.ndarray, np.ndarray] | None = None
-        self.rows: list[np.ndarray] = []
-
-    def observe(self, engine: AugmentedEngine) -> None:
-        t, s = tracking_triple(engine, self.limit, self.z_star)
-        if self._prev is not None:
-            t_prev, s_prev = self._prev
-            GH = self.G_builder(engine.k)
-            rhs = GH.G @ t_prev + GH.H_k @ s_prev
-            ratios = t / np.maximum(rhs, 1e-300)
-            self.worst_ratios = np.maximum(self.worst_ratios, ratios)
-            self.rows.append(ratios)
-        self._prev = (t, s)
-
-
-def tracking_triple(
-    engine: AugmentedEngine, limit: np.ndarray, z_star: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Measured error triple t_k (and driver s_k) for the comparison-matrix
-    recursion t_k <= G t_{k-1} + H_{k-1} s_{k-1}:
-
-    t = (||x_hat - limit @ x_hat||, ||stack(x_bar - z*)||, ||g_hat - limit @ g_hat||)
-    s = (||x_hat||, 0, 0)
-
-    where x_bar is the global mass average (valid because weight mass is n).
-    """
-    x_hat, g_hat = engine.x_hat, engine.g_hat
-    n = engine.n
-    reps = engine.tau_max + 1
-    t1 = float(np.linalg.norm(x_hat - limit @ x_hat))
-    x_bar = x_hat.sum(axis=0) / n
-    t2 = float(np.sqrt(n * reps) * np.linalg.norm(x_bar - z_star))
-    t3 = float(np.linalg.norm(g_hat - limit @ g_hat))
-    s1 = float(np.linalg.norm(x_hat))
-    return np.array([t1, t2, t3]), np.array([s1, 0.0, 0.0])

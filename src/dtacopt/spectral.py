@@ -222,7 +222,9 @@ def step_size_bound(
     theta = c d eps l^2 y y_minus^2 (l + n(tau_max+1) s)
     alpha3 = (sqrt(delta^2 + 4 n(tau_max+1) s (1-sigma)^2 theta) - delta) / (2 theta)
 
-    and the returned maximum is min(alpha3, 1/(n(tau_max+1)l)).
+    and the returned maximum is min(alpha3, 1/(n(tau_max+1)l)).  Raises
+    ValueError when alpha3 is not a finite positive float (e.g. the constants
+    overflow).
     """
     if min(kappa, epsilon, l, s, y, y_minus, c, d) <= 0:
         raise ValueError("all constants must be positive")
@@ -231,11 +233,16 @@ def step_size_bound(
             f"sigma={sigma:.6g} outside [0, 1): delays too large for a certified rate"
         )
     m = n * (tau_max + 1)
-    delta = m * s * c * d * epsilon * l * y_minus * (1.0 - sigma + kappa)
-    theta = c * d * epsilon * l**2 * y * y_minus**2 * (l + m * s)
-    alpha3 = (np.sqrt(delta**2 + 4.0 * m * s * (1.0 - sigma) ** 2 * theta) - delta) / (
-        2.0 * theta
-    )
+    try:
+        delta = m * s * c * d * epsilon * l * y_minus * (1.0 - sigma + kappa)
+        theta = c * d * epsilon * l**2 * y * y_minus**2 * (l + m * s)
+        alpha3 = (np.sqrt(delta**2 + 4.0 * m * s * (1.0 - sigma) ** 2 * theta) - delta) / (
+            2.0 * theta
+        )
+    except OverflowError:
+        raise ValueError(f"step-size constants overflow (y_minus={y_minus:.6g})") from None
+    if not (np.isfinite(alpha3) and alpha3 > 0.0):
+        raise ValueError(f"alpha3={float(alpha3)!r} is not a finite positive step size")
     cap = 1.0 / (m * l)
     constants = SpectralConstants(
         n=n, tau_max=tau_max, sigma=sigma, kappa=kappa, epsilon=epsilon,

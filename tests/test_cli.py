@@ -181,6 +181,50 @@ def test_spectral_subcommand_reads_graph_and_delay_files(tmp_path, capsys):
     assert "tau_max  " in out or "tau_max" in out
 
 
+def test_spectral_reads_a_sweep_delay_file_without_a_graph_file(tmp_path, capsys):
+    # the sweep dumps the delay map its tau_max=5 point ran on; fed back on
+    # the config's graph it must give the same certificate as the config path
+    assert main(["sweep", "--out", str(tmp_path), "--set", "run.max_iters=1"]) == 0
+    delay_file = tmp_path / "run_tau5_delays.txt"
+    assert max(int(line.split()[2]) for line in delay_file.read_text().splitlines()) == 5
+    capsys.readouterr()
+    records = []
+    for extra in ([], ["--delay-file", str(delay_file)]):
+        assert main(["spectral", "--record"] + extra) == 0
+        out = capsys.readouterr().out
+        records.append([ln for ln in out.splitlines() if "rho_C=" in ln])
+    assert len(records[0]) == 1
+    assert records[0] == records[1]
+
+
+def test_delay_file_off_the_graph_links_is_a_config_error(tmp_path, capsys):
+    delay_file = tmp_path / "d.txt"
+    delay_file.write_text("0 1 9\n")
+    for command in ("spectral", "check-bound"):
+        code = main([command, "--delay-file", str(delay_file)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: delay map domain does not match")
+
+
+@pytest.mark.parametrize("command", ["spectral", "check-bound"])
+def test_bound_that_overflows_exits_three(command, monkeypatch, capsys):
+    from dtacopt import spectral
+
+    def huge_inverse_weight(aug, horizon=500):
+        return spectral.MixingConstants(y_sup=1.0, y_inv_sup=1e160, gamma1=0.5, envelope_T=1.0)
+
+    monkeypatch.setattr(spectral, "measure_mixing_constants", huge_inverse_weight)
+    code = main(
+        [command, "--set", "graph.n=6", "--set", "graph.p=0.7", "--set", "cost.dim=3",
+         "--set", "delay.tau_max=1"]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("no certified step size: step-size constants overflow")
+    assert "Traceback" not in err
+
+
 def test_spectral_subcommand_rejects_disconnected_graph(tmp_path, capsys):
     graph_file = tmp_path / "g.txt"
     graph_file.write_text("0 1\n1 2\n")  # no return path

@@ -4,11 +4,9 @@ import pytest
 from dtacopt.delays import (
     DelayMap,
     assign_delays,
-    augmented_support,
     build_augmented_matrix,
     build_delay_slices,
     dump_delay_map,
-    indicator,
     load_delay_map,
 )
 from dtacopt.graphs import (
@@ -64,19 +62,6 @@ def test_assign_delays_uniform_range_and_determinism():
 def test_assign_delays_rejects_unknown_mode():
     with pytest.raises(ValueError):
         assign_delays(cycle(3), 2, "gaussian")
-
-
-def test_indicator_matches_delay():
-    d = DelayMap(tau={(0, 1): 2, (1, 2): 0, (2, 0): 1}, tau_max=2)
-    assert indicator(d, (0, 1), 2) == 1
-    assert indicator(d, (0, 1), 0) == 0
-    assert indicator(d, (0, 1), 2, k=123) == 1  # round argument is ignored
-    for edge in d.tau:
-        assert sum(indicator(d, edge, r) for r in range(3)) == 1
-    with pytest.raises(KeyError):
-        indicator(d, (1, 0), 0)
-    with pytest.raises(ValueError):
-        indicator(d, (0, 1), 3)
 
 
 def test_slices_all_zero_delays_collapse_to_first():
@@ -180,20 +165,6 @@ def test_augmented_rejects_inconsistent_slices():
     slices.slices[0][0, 0] += 0.1
     with pytest.raises(ValueError):
         build_augmented_matrix(slices, 3)
-
-
-def test_augmented_support_marks_dead_slots():
-    # node 1 has a single in-link with delay 0: its buffer slots stay dead
-    g = cycle(3)
-    C = build_column_stochastic_weights(g)
-    d = DelayMap(tau={(0, 1): 0, (1, 2): 2, (2, 0): 1}, tau_max=2)
-    aug = build_augmented_matrix(build_delay_slices(C, d), 3)
-    mask = augmented_support(aug)
-    assert mask[:3].all()
-    # slot r of node i is index r*3 + i
-    assert not mask[3 + 1] and not mask[6 + 1]  # node 1 slots dead
-    assert mask[3 + 2] and mask[6 + 2]  # node 2 fed at delay 2
-    assert mask[3 + 0] and not mask[6 + 0]  # node 0 fed at delay 1 only
 
 
 def test_delay_map_round_trip(tmp_path):

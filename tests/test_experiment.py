@@ -62,6 +62,10 @@ def test_config_validation_errors_name_the_key():
         validate_config({"graph.p": "1.5"})
     with pytest.raises(ConfigError, match="run.engine"):
         validate_config({"run.engine": "warp-drive"})
+    with pytest.raises(ConfigError, match="run.max_iters"):
+        validate_config({"run.max_iters": "0"})
+    with pytest.raises(ConfigError, match="run.record_every"):
+        validate_config({"run.record_every": "0"})
     with pytest.raises(ConfigError, match="budget"):
         validate_config(
             {"sweep.tau_max": "1,2,3,4,5,6,7,8,9", "sweep.alpha": "0.1," * 7 + "0.2", "sweep.budget": "8"}
@@ -77,6 +81,13 @@ def test_overrides_apply_after_load():
         apply_overrides(cfg, ["bogus.key=1"])
     with pytest.raises(ConfigError):
         apply_overrides(cfg, ["run.alpha"])
+    # a misspelt key is rejected on every path, not dropped
+    with pytest.raises(ConfigError, match="unknown key 'run.alph'"):
+        apply_overrides(cfg, ["run.alph=0.1"])
+    with pytest.raises(ConfigError, match="unknown key 'run.alph'"):
+        cfg.with_overrides(**{"run.alph": 0.1})
+    with pytest.raises(ConfigError, match="unknown key 'run.alph'"):
+        validate_config({"run.alph": "0.1"})
 
 
 def test_config_file_loading(tmp_path):

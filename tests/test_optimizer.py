@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contraction import ContractionMonitor, tracking_triple
 from dtacopt import costs, delays, graphs, spectral
 from dtacopt.optimizer import (
     _DENSE_BASE,
@@ -12,7 +13,6 @@ from dtacopt.optimizer import (
     ENGINES,
     AddOptEngine,
     AugmentedEngine,
-    ContractionMonitor,
     DtacEngine,
     EngineFault,
     InTransitBuffer,
@@ -22,7 +22,6 @@ from dtacopt.optimizer import (
     _mixer,
     init_states,
     run,
-    tracking_triple,
 )
 
 

@@ -86,8 +86,9 @@ def test_periodic_chain_gets_no_certificate():
     assert sigma == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="outside"):
         step_size_bound(2, 0, 1.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0)
-    # the computed sigma (1 - 1 ulp here) certifies nothing either, as `spectral` checks it
-    assert not (sigma < 1.0 and step_size_bound(2, 0, sigma, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0).admissible_max > 0.0)
+    # the computed sigma (1 - 1 ulp here) certifies nothing either: alpha3 rounds to 0
+    with pytest.raises(ValueError, match="not a finite positive"):
+        step_size_bound(2, 0, sigma, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0)
 
 
 def test_limit_matrix_fixed_point_residuals():
@@ -272,6 +273,12 @@ def test_step_size_bound_rejects_large_sigma_and_accepts_zero():
         step_size_bound(5, 2, 1.0, 1.5, 1.2, 9.0, 1.0, 2.0, 4.0)
     b = step_size_bound(2, 0, 0.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0)
     assert b.admissible_max > 0
+
+
+def test_step_size_bound_that_overflows_is_a_value_error():
+    # y_minus near 1e160 squares past the float range inside delta**2
+    with pytest.raises(ValueError, match="overflow"):
+        step_size_bound(5, 2, 0.5, 1.5, 1.2, 9.0, 1.0, 2.0, 1e160)
 
 
 def test_certified_interval_shrinks_with_delay_bound():
