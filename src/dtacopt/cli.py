@@ -202,7 +202,7 @@ def _suite_reduction(fault: str | None) -> None:
     d = delays.assign_delays(g, 0, "zero", 0)
     prob = costs.make_quadratic(6, 3, 5)
     base, *delayed = (
-        cls(prob, optimizer.init_states(prob, 6, 1), C, d, 0.01)
+        cls(prob, optimizer.init_states(prob, 1), C, d, 0.01)
         for cls in (optimizer.AddOptEngine, optimizer.DtacEngine, optimizer.AugmentedEngine)
     )
     for _ in range(200):
@@ -219,8 +219,8 @@ def _suite_equivalence(fault: str | None) -> None:
         C = graphs.build_column_stochastic_weights(g)
         d = delays.assign_delays(g, tau, "uniform-random", seed)
         prob = costs.make_quadratic(n, 3, seed)
-        e1 = optimizer.DtacEngine(prob, optimizer.init_states(prob, n, 7), C, d, 0.004)
-        e2 = optimizer.AugmentedEngine(prob, optimizer.init_states(prob, n, 7), C, d, 0.004)
+        e1 = optimizer.DtacEngine(prob, optimizer.init_states(prob, 7), C, d, 0.004)
+        e2 = optimizer.AugmentedEngine(prob, optimizer.init_states(prob, 7), C, d, 0.004)
         for _ in range(150):
             e1.step()
             e2.step()
@@ -233,7 +233,7 @@ def _suite_conservation(fault: str | None) -> None:
     C = graphs.build_column_stochastic_weights(g)
     d = delays.assign_delays(g, 4, "uniform-random", 22)
     prob = costs.make_quadratic(8, 3, 23)
-    e = optimizer.DtacEngine(prob, optimizer.init_states(prob, 8, 2), C, d, 0.004)
+    e = optimizer.DtacEngine(prob, optimizer.init_states(prob, 2), C, d, 0.004)
     for _ in range(300):
         e.step()
         if abs(e.mass - 8) > 1e-10:
@@ -259,7 +259,7 @@ def _suite_spectral_bound(fault: str | None) -> None:
             tau={e: int(rng.integers(0, tau_max + 1)) for e in sorted(edges)},
             tau_max=tau_max,
         )
-        if not spectral.verify_spectral_bound(M, tau_max, d):
+        if not spectral.verify_spectral_bound(M, d):
             raise AssertionError("spectral-radius bound violated")
 
 
@@ -319,7 +319,10 @@ def _add_spectral_inputs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--graph-file", help="edge list `j i` per line")
     parser.add_argument(
         "--delay-file",
-        help="delay list `j i tau` per line; tau_max is its largest delay",
+        help=(
+            "delay list `j i tau` per line; tau_max is its `# tau_max=<t>` "
+            "first line, else its largest delay"
+        ),
     )
 
 

@@ -3,7 +3,8 @@
 A delayed network is modeled by giving every link ``j -> i`` a fixed integer
 delay ``tau[(j, i)] <= tau_max``.  The mixing matrix C then splits into
 slices ``C_0 .. C_tau_max`` (slice r holds the weights of the delay-r links),
-and the augmented matrix stacks those slices against a shift register:
+and the augmented matrix stacks those slices against a shift register
+(`build_augmented_matrix(C, d)` is the one place that assembles it):
 
     block (r, 0)     = C_r          for r = 0..tau_max
     block (r-1, r)   = I_n          for r = 1..tau_max
@@ -43,9 +44,6 @@ class DelayMap:
             if j == i and t != 0:
                 raise ValueError("self-loop delays must be 0")
 
-    def delay(self, edge: Edge) -> int:
-        return self.tau[edge]
-
 
 def assign_delays(
     g: DirectedGraph,
@@ -83,18 +81,6 @@ class DelaySlices:
 
     slices: np.ndarray  # shape (tau_max + 1, n, n)
 
-    @property
-    def tau_max(self) -> int:
-        return self.slices.shape[0] - 1
-
-    @property
-    def n(self) -> int:
-        return self.slices.shape[1]
-
-    def total(self) -> np.ndarray:
-        """Sum of all slices; equals the undelayed mixing matrix exactly."""
-        return self.slices.sum(axis=0)
-
 
 def build_delay_slices(C: WeightMatrix | np.ndarray, d: DelayMap) -> DelaySlices:
     """Split C into per-delay slices. Each entry is moved, never recomputed,
@@ -125,63 +111,65 @@ def build_delay_slices(C: WeightMatrix | np.ndarray, d: DelayMap) -> DelaySlices
 
 @dataclass(eq=False)
 class AugmentedMatrix:
-    """The n(tau_max+1)-dimensional delayed-mixing matrix and the slices it
-    was assembled from.  Spectral quantities (its Perron vector and rank-one
-    limit) are computed on demand by the spectral module, not stored here.
+    """The n(tau_max+1)-dimensional delayed-mixing matrix.  Spectral
+    quantities (its Perron vector and rank-one limit) are computed on demand
+    by the spectral module, not stored here.
     """
 
     entries: np.ndarray
     n: int
     tau_max: int
-    slices: DelaySlices
 
     @property
     def dim(self) -> int:
         return self.n * (self.tau_max + 1)
 
 
-def build_augmented_matrix(slices: DelaySlices, n: int) -> AugmentedMatrix:
-    """Assemble the block matrix from delay slices; column stochastic by
-    construction when the slices sum to a column-stochastic matrix."""
-    if slices.n != n:
-        raise ValueError("slice dimension does not match n")
-    colsums = slices.total().sum(axis=0)
-    if np.max(np.abs(colsums - 1.0)) > 1e-12:
-        raise ValueError("inconsistent slices: summed columns must equal 1")
-    return assemble_augmented(slices)
-
-
-def assemble_augmented(slices: DelaySlices) -> AugmentedMatrix:
-    """Place the slices in the first block column and identities on the
-    block superdiagonal, whatever the slices sum to (no stochasticity check)."""
-    n, T = slices.n, slices.tau_max
-    N = n * (T + 1)
-    M = np.zeros((N, N))
-    for r in range(T + 1):
-        M[r * n : (r + 1) * n, 0:n] = slices.slices[r]
+def build_augmented_matrix(C: WeightMatrix | np.ndarray, d: DelayMap) -> AugmentedMatrix:
+    """Slice C by the delay map and place slice r in block (r, 0) and
+    identities on the block superdiagonal, whatever C sums to.  Column
+    stochastic when C is; column sums are checked where a matrix enters
+    (`WeightMatrix`, `spectral.perron_vector`), not here."""
+    S = build_delay_slices(C, d).slices
+    T, n = d.tau_max, S.shape[1]
+    M = np.zeros((n * (T + 1), n * (T + 1)))
+    M[:, :n] = S.reshape(-1, n)
     eye = np.eye(n)
     for r in range(1, T + 1):
         M[(r - 1) * n : r * n, r * n : (r + 1) * n] = eye
-    return AugmentedMatrix(entries=M, n=n, tau_max=T, slices=slices)
+    return AugmentedMatrix(entries=M, n=n, tau_max=T)
 
 
 def dump_delay_map(d: DelayMap, path: str | Path) -> None:
-    """Write one `j i tau` line per link (zero-indexed, sorted)."""
-    lines = [f"{j} {i} {d.tau[(j, i)]}" for j, i in sorted(d.tau)]
+    """Write a `# tau_max=<t>` line, then one `j i tau` line per link
+    (zero-indexed, sorted)."""
+    lines = [f"# tau_max={d.tau_max}"]
+    lines += [f"{j} {i} {d.tau[(j, i)]}" for j, i in sorted(d.tau)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_delay_map(path: str | Path, tau_max: int | None = None) -> DelayMap:
-    """Read a `j i tau` list; tau_max defaults to the largest delay seen."""
+def load_delay_map(path: str | Path) -> DelayMap:
+    """Read a `j i tau` list.  The bound is the `# tau_max=<t>` line that
+    `dump_delay_map` writes first; a file without it is bounded by its
+    largest delay.  A link listed twice is an error."""
     tau: dict[Edge, int] = {}
+    tau_max = None
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
+        if lineno == 1 and line.startswith("# tau_max="):
+            bound = line.removeprefix("# tau_max=")
+            if not bound.isdigit():
+                raise ValueError(f"{path}:1: expected '# tau_max=<t>', got {raw!r}")
+            tau_max = int(bound)
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'j i tau', got {raw!r}")
-        tau[(int(parts[0]), int(parts[1]))] = int(parts[2])
+        link = (int(parts[0]), int(parts[1]))
+        if link in tau:
+            raise ValueError(f"{path}:{lineno}: link {link} listed twice")
+        tau[link] = int(parts[2])
     if tau_max is None:
         tau_max = max(tau.values(), default=0)
     return DelayMap(tau=tau, tau_max=tau_max)

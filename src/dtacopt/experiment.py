@@ -259,7 +259,7 @@ def build_setting(cfg: ExperimentConfig) -> StaticSetting | SwitchingPlan:
     d = delays.assign_delays(
         g, cfg.get("delay.tau_max"), cfg.get("delay.mode"), cfg.get("delay.seed")
     )
-    return StaticSetting(graph=g, weights=C, delays=d)
+    return StaticSetting(weights=C, delays=d)
 
 
 def write_trace(records: list[TraceRecord], path: Path) -> None:

@@ -18,6 +18,10 @@ import numpy as np
 Edge = tuple[int, int]
 
 
+# samples generate_erdos_renyi draws before giving up on strong connectivity
+ER_MAX_RETRIES = 1000
+
+
 class RetryBudgetError(RuntimeError):
     """No strongly connected sample was found within the retry budget."""
 
@@ -49,10 +53,6 @@ class DirectedGraph:
         for j, i in sorted(self.edges):
             lists[j].append(i)
         return lists
-
-    def in_neighbors(self, i: int) -> list[int]:
-        """Senders j with a link j -> i."""
-        return list(self._in_lists[i])
 
     def out_neighbors(self, j: int) -> list[int]:
         """Receivers i with a link j -> i."""
@@ -122,27 +122,24 @@ def _sample_er(n: int, p: float, rng: np.random.Generator) -> DirectedGraph:
 
 
 def generate_erdos_renyi(
-    n: int,
-    p: float,
-    seed: int | np.random.SeedSequence,
-    max_retries: int = 1000,
+    n: int, p: float, seed: int | np.random.SeedSequence
 ) -> DirectedGraph:
     """Strongly connected directed G(n, p): each ordered pair is an edge w.p. p.
 
     Resamples from the seeded stream until the draw is strongly connected;
-    raises RetryBudgetError after `max_retries` failures (p too small for n).
+    raises RetryBudgetError after ER_MAX_RETRIES failures (p too small for n).
     """
     if n < 2:
         raise ValueError("need n >= 2")
     if not (0.0 < p <= 1.0):
         raise ValueError("need 0 < p <= 1")
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(ER_MAX_RETRIES):
         g = _sample_er(n, p, rng)
         if is_strongly_connected(g):
             return g
     raise RetryBudgetError(
-        f"no strongly connected G({n}, {p}) digraph in {max_retries} samples"
+        f"no strongly connected G({n}, {p}) digraph in {ER_MAX_RETRIES} samples"
     )
 
 
@@ -204,8 +201,8 @@ def dump_edge_list(g: DirectedGraph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_edge_list(path: str | Path, n: int | None = None) -> DirectedGraph:
-    """Read a `j i` edge list; n defaults to 1 + the largest index seen."""
+def load_edge_list(path: str | Path) -> DirectedGraph:
+    """Read a `j i` edge list on nodes 0..(largest index seen)."""
     edges = set()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -215,6 +212,5 @@ def load_edge_list(path: str | Path, n: int | None = None) -> DirectedGraph:
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'j i', got {raw!r}")
         edges.add((int(parts[0]), int(parts[1])))
-    if n is None:
-        n = 1 + max(max(j, i) for j, i in edges) if edges else 1
+    n = 1 + max(max(j, i) for j, i in edges) if edges else 1
     return DirectedGraph(n, frozenset(edges))

@@ -19,14 +19,16 @@ Three engines share one protocol semantics:
   with all delays zero the per-node engine reduces to it bit for bit, and
   so does the oracle when tau_max = 0.
 
-All engines share one lifecycle: `Engine(problem, states, C, delays, alpha)`
+All engines share one lifecycle: `Engine(problem, W0, C, delays, alpha)`
 installs the round-0 topology, `set_topology(C, delays)` installs the next
 one on a switching run, and `step()` advances one round.  `ENGINES` maps
 each `run.engine` name to its class, so `run()` never branches on the name.
 
-Every engine packs the per-node state into one (n, 2p+1) block whose columns
-are [x | y | g]; column stochasticity then keeps two block sums conserved
-to machine precision at every round, live plus in-flight:
+Every engine holds the per-node state as one (n, 2p+1) block whose columns
+are [x | y | g]; `init_states` draws the round-0 block W0, and the ratio
+estimate z = x / y is derived from it.  Column stochasticity then keeps two
+block sums conserved to machine precision at every round, live plus
+in-flight:
 
     sum(y-hat) == n                    (weight mass)
     sum(g-hat) == sum_i grad_i(z_i)    (tracker mass = current gradient mass)
@@ -49,7 +51,6 @@ from .delays import (
     build_delay_slices,
 )
 from .graphs import (
-    DirectedGraph,
     SwitchingSchedule,
     WeightMatrix,
     build_column_stochastic_weights,
@@ -60,38 +61,13 @@ class EngineFault(RuntimeError):
     """Protocol violation (e.g. a nonpositive push-sum weight)."""
 
 
-@dataclass
-class AgentState:
-    """Per-node quadruple plus the cached previous gradient."""
-
-    x: np.ndarray
-    y: float
-    z: np.ndarray
-    g: np.ndarray
-    grad_prev: np.ndarray
-
-
-def init_states(problem: GlobalProblem, n: int, seed: int) -> list[AgentState]:
-    """Random x, unit weight, z = x / y, tracker seeded with the local gradient."""
+def init_states(problem: GlobalProblem, seed: int) -> np.ndarray:
+    """Round-0 block [x | y | g] over problem.n nodes: random x, unit weight,
+    tracker seeded with the local gradient at z = x / y = x."""
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, problem.dim))
-    states = []
-    for i in range(n):
-        z = X[i] / 1.0
-        g = problem.locals[i].grad(z)
-        states.append(AgentState(x=X[i].copy(), y=1.0, z=z, g=g, grad_prev=g.copy()))
-    return states
-
-
-def _pack(states: list[AgentState], p: int) -> np.ndarray:
-    """Stack agent states into the (n, 2p+1) block [x | y | g]."""
-    n = len(states)
-    W = np.empty((n, 2 * p + 1))
-    for i, st in enumerate(states):
-        W[i, :p] = st.x
-        W[i, p] = st.y
-        W[i, p + 1 :] = st.g
-    return W
+    X = rng.standard_normal((problem.n, problem.dim))
+    G = np.stack([f.grad(x) for f, x in zip(problem.locals, X)])
+    return np.hstack([X, np.ones((problem.n, 1)), G])
 
 
 class InTransitBuffer:
@@ -155,7 +131,7 @@ class _EngineBase:
     """One lifecycle for every engine, plus the shared update arithmetic on
     the packed (n, 2p+1) live block.
 
-    Every engine is built by this constructor: it packs the agent states,
+    Every engine is built by this constructor: it takes the round-0 block W0,
     installs the round-0 topology with `set_topology(C, delays)` -- the call
     `run()` makes again at every switch -- and measures the conserved masses.
     """
@@ -163,19 +139,19 @@ class _EngineBase:
     def __init__(
         self,
         problem: GlobalProblem,
-        states: list[AgentState],
+        W0: np.ndarray,
         C: WeightMatrix,
         delays: DelayMap,
         alpha: float,
     ) -> None:
         self.problem = problem
         self.alpha = alpha
-        self.n = len(states)
+        self.n = len(W0)
         self.p = problem.dim
         self.tau_max = delays.tau_max
-        self._init_state(_pack(states, self.p))
+        self._init_state(W0)
         self.Z = self.W[:, : self.p] / self.W[:, self.p, None]
-        self.grad_prev = np.stack([st.grad_prev for st in states])
+        self.grad_prev = self.W[:, self.p + 1 :].copy()
         self.k = 0
         self.set_topology(C, delays)
         self._measure()
@@ -271,7 +247,7 @@ class AugmentedEngine(_EngineBase):
         """Install the augmented matrix of (C, delays) for subsequent rounds."""
         if delays.tau_max != self.tau_max:
             raise ValueError("cannot change tau_max mid-run")
-        self.aug = build_augmented_matrix(build_delay_slices(C, delays), self.n)
+        self.aug = build_augmented_matrix(C, delays)
         self._mix = _mixer(self.aug.entries, self.W_hat.shape[1])
 
     @property
@@ -294,10 +270,6 @@ class AugmentedEngine(_EngineBase):
     @property
     def x_hat(self) -> np.ndarray:
         return self.W_hat[:, : self.p]
-
-    @property
-    def y_hat(self) -> np.ndarray:
-        return self.W_hat[:, self.p]
 
     @property
     def g_hat(self) -> np.ndarray:
@@ -374,7 +346,6 @@ class RunConfig:
 class StaticSetting:
     """Fixed topology and delay map for a whole run."""
 
-    graph: DirectedGraph
     weights: WeightMatrix
     delays: DelayMap
 
@@ -399,7 +370,7 @@ class SwitchingPlan:
             self.delay_mode,
             np.random.SeedSequence([self.delay_seed, epoch]),
         )
-        return StaticSetting(graph=g, weights=C, delays=d)
+        return StaticSetting(weights=C, delays=d)
 
     @property
     def period(self) -> int:
@@ -454,9 +425,9 @@ def run(
     """
     switching = isinstance(setting, SwitchingPlan)
     current = setting.realize(0) if switching else setting
-    states = init_states(problem, current.weights.n, config.init_seed)
     engine = ENGINES[config.engine](
-        problem, states, current.weights, current.delays, config.alpha
+        problem, init_states(problem, config.init_seed), current.weights,
+        current.delays, config.alpha,
     )
 
     records = [_metrics(engine, problem)]

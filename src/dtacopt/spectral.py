@@ -19,7 +19,8 @@ This module certifies the quantities the convergence argument runs on:
 
 Trajectory-dependent constants (the sup-norms of the weight diagonal and its
 inverse, and the geometric envelope of its convergence) are measured from a
-pilot run of the weight recursion rather than bounded a priori.
+pilot run of the weight recursion rather than bounded a priori.  Every
+augmentation comes from `delays.build_augmented_matrix`.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .delays import (
-    AugmentedMatrix,
-    DelayMap,
-    assemble_augmented,
-    build_delay_slices,
-)
+from .delays import AugmentedMatrix, DelayMap, build_augmented_matrix
+
+# rounds of the weight-recursion pilot run behind the mixing constants
+PILOT_HORIZON = 500
 
 
 def spectral_radius(M: np.ndarray) -> float:
@@ -93,26 +92,20 @@ def contraction_sigma(aug: AugmentedMatrix | np.ndarray) -> float:
     return spectral_radius(M - limit_matrix(aug))
 
 
-def verify_spectral_bound(C: np.ndarray, tau_max: int, d: DelayMap) -> bool:
+def verify_spectral_bound(C: np.ndarray, d: DelayMap) -> bool:
     """Check the delayed-vs-undelayed spectral radius relation numerically.
 
-    Substochastic case (rho(C) < 1): rho(Cbar) <= rho(C)^(1/(1+tau_max)).
-    Stochastic case (rho(C) = 1): rho(Cbar) = 1.  Tolerance 1e-9 throughout.
+    Substochastic case (rho(C) < 1): rho(Cbar) <= rho(C)^(1/(1+tau_max)),
+    with tau_max = d.tau_max.  Stochastic case (rho(C) = 1): rho(Cbar) = 1.
+    Tolerance 1e-9 throughout.
     """
     C = np.asarray(C, dtype=float)
-    aug = build_augmented_from(C, d)
+    aug = build_augmented_matrix(C, d)
     r = spectral_radius(C)
     r_aug = spectral_radius(aug.entries)
     if abs(r - 1.0) <= 1e-9:
         return abs(r_aug - 1.0) <= 1e-9
-    return r_aug <= r ** (1.0 / (1.0 + tau_max)) + 1e-9
-
-
-def build_augmented_from(C: np.ndarray, d: DelayMap) -> AugmentedMatrix:
-    """Slice an arbitrary nonnegative square matrix by the delay map and
-    assemble its augmentation (column-sum validation skipped: the blocks are
-    placed the same way whether or not C is stochastic)."""
-    return assemble_augmented(build_delay_slices(np.asarray(C, dtype=float), d))
+    return r_aug <= r ** (1.0 / (1.0 + d.tau_max)) + 1e-9
 
 
 @dataclass(frozen=True)
@@ -130,9 +123,10 @@ class MixingConstants:
     envelope_T: float
 
 
-def measure_mixing_constants(aug: AugmentedMatrix, horizon: int = 500) -> MixingConstants:
-    """Run the weight recursion from (1_n; 0; ...; 0) and record sup norms
-    plus a least-squares geometric fit of the decay toward the limit."""
+def measure_mixing_constants(aug: AugmentedMatrix) -> MixingConstants:
+    """Run the weight recursion from (1_n; 0; ...; 0) for PILOT_HORIZON
+    rounds and record sup norms plus a least-squares geometric fit of the
+    decay toward the limit."""
     n = aug.n
     N = aug.dim
     y = np.zeros(N)
@@ -142,7 +136,7 @@ def measure_mixing_constants(aug: AugmentedMatrix, horizon: int = 500) -> Mixing
     y_inv_sup = 0.0
     gaps: list[float] = []
     v = y
-    for _ in range(horizon + 1):
+    for _ in range(PILOT_HORIZON + 1):
         y_sup = max(y_sup, float(np.max(np.abs(v))))
         live_min = float(np.min(v[:n]))
         if live_min <= 0:
@@ -180,10 +174,8 @@ class SpectralConstants:
     s: float
     y: float
     y_minus: float
-    c: float = 1.0
-    d: float = 1.0
-    gamma1: float = 0.0
-    envelope_T: float = 0.0
+    gamma1: float
+    envelope_T: float
 
 
 @dataclass(frozen=True)
@@ -196,7 +188,6 @@ class StepSizeBound:
     admissible_max: float
     delta: float
     theta: float
-    constants: SpectralConstants
 
     def certifies(self, alpha: float) -> bool:
         return 0.0 < alpha < self.admissible_max
@@ -212,21 +203,19 @@ def step_size_bound(
     s: float,
     y: float,
     y_minus: float,
-    c: float = 1.0,
-    d: float = 1.0,
 ) -> StepSizeBound:
     """Solve the unit-root equation of the comparison matrix for the largest
     certified step size.
 
-    delta = n(tau_max+1) s c d eps l y_minus (1 - sigma + kappa)
-    theta = c d eps l^2 y y_minus^2 (l + n(tau_max+1) s)
+    delta = n(tau_max+1) s eps l y_minus (1 - sigma + kappa)
+    theta = eps l^2 y y_minus^2 (l + n(tau_max+1) s)
     alpha3 = (sqrt(delta^2 + 4 n(tau_max+1) s (1-sigma)^2 theta) - delta) / (2 theta)
 
     and the returned maximum is min(alpha3, 1/(n(tau_max+1)l)).  Raises
     ValueError when alpha3 is not a finite positive float (e.g. the constants
     overflow).
     """
-    if min(kappa, epsilon, l, s, y, y_minus, c, d) <= 0:
+    if min(kappa, epsilon, l, s, y, y_minus) <= 0:
         raise ValueError("all constants must be positive")
     if not (0.0 <= sigma < 1.0):
         raise ValueError(
@@ -234,8 +223,8 @@ def step_size_bound(
         )
     m = n * (tau_max + 1)
     try:
-        delta = m * s * c * d * epsilon * l * y_minus * (1.0 - sigma + kappa)
-        theta = c * d * epsilon * l**2 * y * y_minus**2 * (l + m * s)
+        delta = m * s * epsilon * l * y_minus * (1.0 - sigma + kappa)
+        theta = epsilon * l**2 * y * y_minus**2 * (l + m * s)
         alpha3 = (np.sqrt(delta**2 + 4.0 * m * s * (1.0 - sigma) ** 2 * theta) - delta) / (
             2.0 * theta
         )
@@ -244,17 +233,12 @@ def step_size_bound(
     if not (np.isfinite(alpha3) and alpha3 > 0.0):
         raise ValueError(f"alpha3={float(alpha3)!r} is not a finite positive step size")
     cap = 1.0 / (m * l)
-    constants = SpectralConstants(
-        n=n, tau_max=tau_max, sigma=sigma, kappa=kappa, epsilon=epsilon,
-        l=l, s=s, y=y, y_minus=y_minus, c=c, d=d,
-    )
     return StepSizeBound(
         alpha3=float(alpha3),
         cap=cap,
         admissible_max=float(min(alpha3, cap)),
         delta=float(delta),
         theta=float(theta),
-        constants=constants,
     )
 
 
@@ -265,9 +249,6 @@ class ContractionMatrices:
 
     G: np.ndarray
     H_k: np.ndarray
-    eta: float
-    gamma1: float
-    envelope_T: float
 
 
 def build_G_H(alpha: float, k: int, constants: SpectralConstants) -> ContractionMatrices:
@@ -280,15 +261,15 @@ def build_G_H(alpha: float, k: int, constants: SpectralConstants) -> Contraction
     cn = constants
     m = cn.n * (cn.tau_max + 1)
     eta = 1.0 - alpha * m * cn.s
-    c, d, eps, l, y, ym = cn.c, cn.d, cn.epsilon, cn.l, cn.y, cn.y_minus
+    eps, l, y, ym = cn.epsilon, cn.l, cn.y, cn.y_minus
     G = np.array(
         [
             [cn.sigma, 0.0, alpha],
-            [alpha * c * l * ym, eta, 0.0],
+            [alpha * l * ym, eta, 0.0],
             [
-                c * d * eps * l * ym * (cn.kappa + alpha * l * y * ym),
-                alpha * d * eps * l**2 * y * ym,
-                cn.sigma + alpha * c * d * eps * l * ym,
+                eps * l * ym * (cn.kappa + alpha * l * y * ym),
+                alpha * eps * l**2 * y * ym,
+                cn.sigma + alpha * eps * l * ym,
             ],
         ]
     )
@@ -297,12 +278,10 @@ def build_G_H(alpha: float, k: int, constants: SpectralConstants) -> Contraction
         [
             [0.0, 0.0, 0.0],
             [alpha * l * ym * envelope, 0.0, 0.0],
-            [(alpha * l * y + 2.0) * d * eps * l * ym**2 * envelope, 0.0, 0.0],
+            [(alpha * l * y + 2.0) * eps * l * ym**2 * envelope, 0.0, 0.0],
         ]
     )
-    return ContractionMatrices(
-        G=G, H_k=H, eta=eta, gamma1=cn.gamma1, envelope_T=cn.envelope_T
-    )
+    return ContractionMatrices(G=G, H_k=H)
 
 
 @dataclass(frozen=True)
@@ -347,13 +326,11 @@ class SpectralReport:
         return out
 
 
-def build_spectral_report(
-    C: np.ndarray, d: DelayMap, horizon: int = 500
-) -> SpectralReport:
+def build_spectral_report(C: np.ndarray, d: DelayMap) -> SpectralReport:
     """Full diagnostic sweep for a column-stochastic C under a delay map."""
     C = np.asarray(C, dtype=float)
     n = C.shape[0]
-    aug = build_augmented_from(C, d)
+    aug = build_augmented_matrix(C, d)
     rho_C = spectral_radius(C)
     rho_Cbar = spectral_radius(aug.entries)
     bound = rho_C ** (1.0 / (1.0 + d.tau_max))
@@ -369,7 +346,7 @@ def build_spectral_report(
     epsilon = float(np.linalg.norm(_minus_identity(C_inf), 2))
     kappa_aug = float(np.linalg.norm(_minus_identity(aug.entries), 2))
     epsilon_aug = float(np.linalg.norm(_minus_identity(P), 2))
-    mix = measure_mixing_constants(aug, horizon=horizon)
+    mix = measure_mixing_constants(aug)
     return SpectralReport(
         n=n,
         tau_max=d.tau_max,

@@ -93,8 +93,8 @@ def equivalence_runs():
         C = graphs.build_column_stochastic_weights(g)
         d = delays.assign_delays(g, tau, "uniform-random", seed=200 + trial)
         prob = costs.make_quadratic(n, 3, 300 + trial)
-        e1 = DtacEngine(prob, init_states(prob, n, 7), C, d, 0.003)
-        e2 = AugmentedEngine(prob, init_states(prob, n, 7), C, d, 0.003)
+        e1 = DtacEngine(prob, init_states(prob, 7), C, d, 0.003)
+        e2 = AugmentedEngine(prob, init_states(prob, 7), C, d, 0.003)
         worst = 0.0
         cons = {"mass": 0.0, "tracker": 0.0}
         for _ in range(500):
@@ -252,7 +252,7 @@ def test_criterion_07_spectral_radius_bound():
             tau={e: int(rng.integers(0, tau + 1)) for e in sorted(edges)},
             tau_max=tau,
         )
-        ok = ok and spectral.verify_spectral_bound(M, tau, d)
+        ok = ok and spectral.verify_spectral_bound(M, d)
         checked += 1
     stochastic_ok = True
     for trial in range(50):
@@ -265,7 +265,7 @@ def test_criterion_07_spectral_radius_bound():
             tau={e: int(rng.integers(0, tau + 1)) for e in sorted(edges)},
             tau_max=tau,
         )
-        aug = spectral.build_augmented_from(M, d)
+        aug = delays.build_augmented_matrix(M, d)
         stochastic_ok = stochastic_ok and abs(
             spectral.spectral_radius(aug.entries) - 1.0
         ) <= 1e-9
@@ -298,7 +298,7 @@ def test_criterion_08_contraction_factor():
         sigma1 = spectral.contraction_sigma(C.entries)
         for tau in (0, 1, 2, 5):
             d = delays.assign_delays(g, tau, "uniform-random", seed=101)
-            aug = spectral.build_augmented_from(C.entries, d)
+            aug = delays.build_augmented_matrix(C, d)
             sigma = spectral.contraction_sigma(aug)
             bound = sigma1 ** (1.0 / (1.0 + tau))
             worst_margin = max(worst_margin, sigma - bound)
@@ -361,7 +361,7 @@ def _certified_distributed_error(problem, n, tau, gseed, dseed):
         y=rep.y, y_minus=rep.y_minus,
     )
     alpha = 0.99 * bound.admissible_max
-    engine = DtacEngine(problem, init_states(problem, n, 3), C, d, alpha)
+    engine = DtacEngine(problem, init_states(problem, 3), C, d, alpha)
     err = np.inf
     for k in range(60000):
         engine.step()

@@ -186,7 +186,8 @@ def test_spectral_reads_a_sweep_delay_file_without_a_graph_file(tmp_path, capsys
     # the config's graph it must give the same certificate as the config path
     assert main(["sweep", "--out", str(tmp_path), "--set", "run.max_iters=1"]) == 0
     delay_file = tmp_path / "run_tau5_delays.txt"
-    assert max(int(line.split()[2]) for line in delay_file.read_text().splitlines()) == 5
+    links = delay_file.read_text().splitlines()[1:]
+    assert max(int(line.split()[2]) for line in links) == 5
     capsys.readouterr()
     records = []
     for extra in ([], ["--delay-file", str(delay_file)]):
@@ -195,6 +196,40 @@ def test_spectral_reads_a_sweep_delay_file_without_a_graph_file(tmp_path, capsys
         records.append([ln for ln in out.splitlines() if "rho_C=" in ln])
     assert len(records[0]) == 1
     assert records[0] == records[1]
+
+
+SMALL = ["--set", "graph.n=3", "--set", "graph.p=0.6", "--set", "cost.dim=2",
+         "--set", "delay.seed=3"]
+
+
+def test_sweep_delay_file_keeps_a_bound_above_its_largest_delay(tmp_path, capsys):
+    # this tau_max=5 draw has no delay above 4; the file still certifies tau_max=5
+    assert main(["sweep", "--out", str(tmp_path), "--set", "run.max_iters=1"] + SMALL) == 0
+    delay_file = tmp_path / "run_tau5_delays.txt"
+    assert max(int(line.split()[2]) for line in delay_file.read_text().splitlines()[1:]) == 4
+    capsys.readouterr()
+    records = []
+    for extra in ([], ["--delay-file", str(delay_file)]):
+        assert main(["spectral", "--record"] + SMALL + extra) == 0
+        out = capsys.readouterr().out
+        records.append([ln for ln in out.splitlines() if "rho_C=" in ln])
+    assert " tau_max=5 " in records[0][0]
+    assert records[0] == records[1]
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_delay_file_listing_a_link_twice_is_a_config_error(tmp_path, capsys, where):
+    assert main(["sweep", "--out", str(tmp_path), "--set", "run.max_iters=1"] + SMALL) == 0
+    delay_file = tmp_path / "run_tau5_delays.txt"
+    lines = delay_file.read_text().splitlines()
+    lines.insert(0 if where == "first" else len(lines), "0 2 1")
+    delay_file.write_text("\n".join(lines) + "\n")
+    lineno = [k for k, line in enumerate(lines, 1) if line.startswith("0 2 ")][1]
+    capsys.readouterr()
+    code = main(["spectral", "--record", "--delay-file", str(delay_file)] + SMALL)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"config error: {delay_file}:{lineno}: link (0, 2) listed twice\n"
 
 
 def test_delay_file_off_the_graph_links_is_a_config_error(tmp_path, capsys):
@@ -211,7 +246,7 @@ def test_delay_file_off_the_graph_links_is_a_config_error(tmp_path, capsys):
 def test_bound_that_overflows_exits_three(command, monkeypatch, capsys):
     from dtacopt import spectral
 
-    def huge_inverse_weight(aug, horizon=500):
+    def huge_inverse_weight(aug):
         return spectral.MixingConstants(y_sup=1.0, y_inv_sup=1e160, gamma1=0.5, envelope_T=1.0)
 
     monkeypatch.setattr(spectral, "measure_mixing_constants", huge_inverse_weight)

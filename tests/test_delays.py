@@ -99,7 +99,7 @@ def test_slices_sum_back_exactly():
         C = build_column_stochastic_weights(g)
         d = assign_delays(g, int(rng.integers(0, 6)), "uniform-random", seed=seed)
         slices = build_delay_slices(C, d)
-        assert np.array_equal(slices.total(), C.entries)
+        assert np.array_equal(slices.slices.sum(axis=0), C.entries)
 
 
 def test_slices_reject_domain_mismatch():
@@ -114,13 +114,13 @@ def test_augmented_zero_bound_equals_base_matrix():
     g = cycle(3)
     C = build_column_stochastic_weights(g)
     d = assign_delays(g, 0, "zero")
-    aug = build_augmented_matrix(build_delay_slices(C, d), 3)
+    aug = build_augmented_matrix(C, d)
     assert np.array_equal(aug.entries, C.entries)
 
 
 def test_augmented_two_node_worked_example():
     _, C, d = two_node_setup()
-    aug = build_augmented_matrix(build_delay_slices(C, d), 2)
+    aug = build_augmented_matrix(C, d)
     expected = np.array(
         [
             [0.5, 0.0, 1.0, 0.0],
@@ -142,7 +142,7 @@ def test_augmented_block_structure_and_column_sums():
         C = build_column_stochastic_weights(g)
         d = assign_delays(g, tau, "uniform-random", seed=seed)
         slices = build_delay_slices(C, d)
-        aug = build_augmented_matrix(slices, n)
+        aug = build_augmented_matrix(C, d)
         M = aug.entries
         assert np.max(np.abs(M.sum(axis=0) - 1.0)) <= 1e-12
         eye = np.eye(n)
@@ -157,21 +157,27 @@ def test_augmented_block_structure_and_column_sums():
                     assert not block.any()
 
 
-def test_augmented_rejects_inconsistent_slices():
-    g = cycle(3)
-    C = build_column_stochastic_weights(g)
-    d = assign_delays(g, 1, "zero")
-    slices = build_delay_slices(C, d)
-    slices.slices[0][0, 0] += 0.1
-    with pytest.raises(ValueError):
-        build_augmented_matrix(slices, 3)
-
-
 def test_delay_map_round_trip(tmp_path):
     g = generate_erdos_renyi(6, 0.5, seed=4)
     d = assign_delays(g, 4, "uniform-random", seed=4)
     path = tmp_path / "delays.txt"
     dump_delay_map(d, path)
-    d2 = load_delay_map(path, tau_max=4)
+    assert path.read_text().startswith("# tau_max=4\n")
+    d2 = load_delay_map(path)
     assert d2.tau == d.tau
     assert d2.tau_max == 4
+
+
+def test_delay_file_keeps_a_bound_above_its_largest_delay(tmp_path):
+    g = cycle(3)
+    d = assign_delays(g, 5, "zero")
+    path = tmp_path / "delays.txt"
+    dump_delay_map(d, path)
+    assert load_delay_map(path).tau_max == 5
+    # a hand-written file without the bound line is bounded by its largest delay
+    path.write_text("".join(f"{j} {i} 2\n" for j, i in sorted(g.edges)))
+    assert load_delay_map(path).tau_max == 2
+    path.write_text("# tau_max=five\n")
+    with pytest.raises(ValueError, match="delays.txt:1: expected '# tau_max=<t>'"):
+        load_delay_map(path)
+

@@ -161,7 +161,8 @@ def test_run_experiment_writes_traces_and_summary(tmp_path):
     assert (tmp_path / "run_graph.txt").exists()
     for tau in (0, 2):  # one delay map per swept bound, as that point ran it
         lines = (tmp_path / f"run_tau{tau}_delays.txt").read_text().splitlines()
-        assert max(int(line.split()[2]) for line in lines) == tau
+        assert lines[0] == f"# tau_max={tau}"
+        assert max(int(line.split()[2]) for line in lines[1:]) == tau
     assert not (tmp_path / "run_delays.txt").exists()
     for s in summaries:
         trace = tmp_path / f"run_tau{s.tau_max}_alpha{s.alpha!r}.csv"

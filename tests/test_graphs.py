@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dtacopt.graphs import (
+    ER_MAX_RETRIES,
     DirectedGraph,
     RetryBudgetError,
     SwitchingSchedule,
@@ -43,8 +44,8 @@ def test_er_sample_is_strongly_connected():
 
 
 def test_er_tiny_probability_exhausts_retries():
-    with pytest.raises(RetryBudgetError):
-        generate_erdos_renyi(3, 1e-9, seed=1, max_retries=50)
+    with pytest.raises(RetryBudgetError, match=f"in {ER_MAX_RETRIES} samples"):
+        generate_erdos_renyi(3, 1e-9, seed=1)
 
 
 def test_er_deterministic_given_seed():
@@ -177,5 +178,5 @@ def test_edge_list_round_trip(tmp_path):
     g = generate_erdos_renyi(7, 0.4, seed=2)
     path = tmp_path / "graph.txt"
     dump_edge_list(g, path)
-    g2 = load_edge_list(path, n=7)
+    g2 = load_edge_list(path)
     assert g2.edges == g.edges

@@ -29,7 +29,7 @@ def make_setting(n, tau, gseed, dseed, p_edge=0.6, mode="uniform-random"):
     g = graphs.generate_erdos_renyi(n, p_edge, seed=gseed)
     C = graphs.build_column_stochastic_weights(g)
     d = delays.assign_delays(g, tau, mode, seed=dseed)
-    return StaticSetting(graph=g, weights=C, delays=d)
+    return StaticSetting(weights=C, delays=d)
 
 
 def make_circulant_setting(n, tau, dseed, hops=(1, 7)):
@@ -37,7 +37,7 @@ def make_circulant_setting(n, tau, dseed, hops=(1, 7)):
     g = graphs.DirectedGraph(n, frozenset((i, (i + h) % n) for i in range(n) for h in hops))
     C = graphs.build_column_stochastic_weights(g)
     d = delays.assign_delays(g, tau, "uniform-random", seed=dseed)
-    return StaticSetting(graph=g, weights=C, delays=d)
+    return StaticSetting(weights=C, delays=d)
 
 
 def multiplied_through_nonzeros(M):
@@ -47,14 +47,14 @@ def multiplied_through_nonzeros(M):
 
 def test_init_states_deterministic_and_seeded():
     prob = costs.make_quadratic(5, 3, 1)
-    a = init_states(prob, 5, seed=7)
-    b = init_states(prob, 5, seed=7)
-    for i, (sa, sb) in enumerate(zip(a, b)):
-        assert np.array_equal(sa.x, sb.x)
-        assert sa.y == 1.0
-        assert np.array_equal(sa.z, sa.x)
-        assert np.array_equal(sa.g, prob.locals[i].grad(sa.z))
-    assert sum(s.y for s in a) == 5.0
+    a = init_states(prob, seed=7)
+    assert a.shape == (5, 2 * 3 + 1)
+    assert np.array_equal(a, init_states(prob, seed=7))
+    assert not np.array_equal(a[:, :3], init_states(prob, seed=8)[:, :3])
+    x, y, g = a[:, :3], a[:, 3], a[:, 4:]
+    assert np.all(y == 1.0)
+    for i in range(5):
+        assert np.array_equal(g[i], prob.locals[i].grad(x[i]))
 
 
 def test_in_transit_buffer_delivers_on_schedule():
@@ -81,9 +81,9 @@ def test_single_node_reduces_to_gradient_descent():
     prob = costs.make_quadratic(1, 3, 2)
     C = graphs.WeightMatrix(np.array([[1.0]]))
     d = delays.DelayMap(tau={(0, 0): 0}, tau_max=0)
-    states = init_states(prob, 1, seed=3)
-    engine = DtacEngine(prob, states, C, d, alpha=0.05)
-    x = states[0].x.copy()
+    W0 = init_states(prob, seed=3)
+    engine = DtacEngine(prob, W0, C, d, alpha=0.05)
+    x = W0[0, :3].copy()
     for _ in range(200):
         x = x - 0.05 * prob.locals[0].grad(x)
         engine.step()
@@ -109,7 +109,7 @@ def test_zero_delay_engines_are_bitwise_identical(n, setting, make_problem, roun
     setting = setting()
     prob = make_problem()
     e_dtac, e_base, e_aug = (
-        cls(prob, init_states(prob, n, 1), setting.weights, setting.delays, 0.01)
+        cls(prob, init_states(prob, 1), setting.weights, setting.delays, 0.01)
         for cls in (DtacEngine, AddOptEngine, AugmentedEngine)
     )
     assert multiplied_through_nonzeros(setting.weights.entries) == (n == 200)
@@ -136,7 +136,7 @@ def test_per_node_reduces_bitwise_when_every_delay_is_below_the_bound(n):
     assert not multiplied_through_nonzeros(C.entries)
     prob = costs.make_quadratic(n, 3, 5)
     e_dtac, e_base = (
-        cls(prob, init_states(prob, n, 1), C, d, 0.01) for cls in (DtacEngine, AddOptEngine)
+        cls(prob, init_states(prob, 1), C, d, 0.01) for cls in (DtacEngine, AddOptEngine)
     )
     for _ in range(100):
         e_dtac.step()
@@ -159,8 +159,8 @@ def test_oracle_equivalence_under_delays():
     cases.append((128, sparse, 44, 60))
     for n, setting, cost_seed, rounds in cases:
         prob = costs.make_quadratic(n, 3, cost_seed)
-        e1 = DtacEngine(prob, init_states(prob, n, 7), setting.weights, setting.delays, 0.003)
-        e2 = AugmentedEngine(prob, init_states(prob, n, 7), setting.weights, setting.delays, 0.003)
+        e1 = DtacEngine(prob, init_states(prob, 7), setting.weights, setting.delays, 0.003)
+        e2 = AugmentedEngine(prob, init_states(prob, 7), setting.weights, setting.delays, 0.003)
         if n == 128:
             assert multiplied_through_nonzeros(e2.aug.entries)
         for _ in range(rounds):
@@ -218,8 +218,8 @@ def test_two_node_quadratic_matches_oracle_tightly():
     C = graphs.build_column_stochastic_weights(g)
     d = delays.DelayMap(tau={(1, 0): 1, (0, 1): 0}, tau_max=1)
     prob = costs.make_quadratic(2, 2, 3)
-    e1 = DtacEngine(prob, init_states(prob, 2, 5), C, d, 0.01)
-    e2 = AugmentedEngine(prob, init_states(prob, 2, 5), C, d, 0.01)
+    e1 = DtacEngine(prob, init_states(prob, 5), C, d, 0.01)
+    e2 = AugmentedEngine(prob, init_states(prob, 5), C, d, 0.01)
     for _ in range(200):
         e1.step()
         e2.step()
@@ -230,7 +230,7 @@ def test_mass_and_tracker_conservation_under_delays():
     setting = make_setting(8, 4, 21, 22)
     prob = costs.make_quadratic(8, 3, 23)
     for cls in (DtacEngine, AugmentedEngine):
-        engine = cls(prob, init_states(prob, 8, 2), setting.weights, setting.delays, 0.003)
+        engine = cls(prob, init_states(prob, 2), setting.weights, setting.delays, 0.003)
         for _ in range(500):
             engine.step()
             assert abs(engine.mass - 8.0) < 1e-10
@@ -242,7 +242,7 @@ def test_mass_and_tracker_conservation_under_delays():
 def test_engine_fault_on_nonpositive_weight():
     setting = make_setting(4, 1, 2, 3)
     prob = costs.make_quadratic(4, 2, 4)
-    engine = DtacEngine(prob, init_states(prob, 4, 1), setting.weights, setting.delays, 0.01)
+    engine = DtacEngine(prob, init_states(prob, 1), setting.weights, setting.delays, 0.01)
     engine.W[:, engine.p] = 0.0  # corrupt the live weights
     engine.buffers.q[:, :, engine.p] = 0.0
     with pytest.raises(EngineFault):
@@ -328,7 +328,7 @@ def test_switching_lockstep_across_engines():
     prob = costs.make_quadratic(6, 3, 91)
     settings = [make_setting(6, 3, 90 + e, 95 + e) for e in range(6)]
     e1, e2 = (
-        cls(prob, init_states(prob, 6, 4), settings[0].weights, settings[0].delays, 0.003)
+        cls(prob, init_states(prob, 4), settings[0].weights, settings[0].delays, 0.003)
         for cls in (DtacEngine, AugmentedEngine)
     )
     for k in range(120):
@@ -347,7 +347,7 @@ def test_set_topology_rejects_tau_change():
     prob = costs.make_quadratic(5, 3, 63)
     other = make_setting(5, 3, 61, 64)
     for cls in (DtacEngine, AugmentedEngine):
-        engine = cls(prob, init_states(prob, 5, 1), setting.weights, setting.delays, 0.004)
+        engine = cls(prob, init_states(prob, 1), setting.weights, setting.delays, 0.004)
         with pytest.raises(ValueError):
             engine.set_topology(other.weights, other.delays)
 
@@ -356,7 +356,7 @@ def test_switching_keeps_in_flight_packets():
     # an engine mid-run switches topology; mass in flight is untouched
     setting = make_setting(6, 3, 41, 42)
     prob = costs.make_quadratic(6, 3, 43)
-    engine = DtacEngine(prob, init_states(prob, 6, 1), setting.weights, setting.delays, 0.004)
+    engine = DtacEngine(prob, init_states(prob, 1), setting.weights, setting.delays, 0.004)
     for _ in range(5):
         engine.step()
     other = make_setting(6, 3, 44, 45)
@@ -386,7 +386,7 @@ def test_contraction_monitor_on_converged_certified_runs():
             gamma1=report.gamma1, envelope_T=report.envelope_T,
         )
         engine = AugmentedEngine(
-            prob, init_states(prob, n, 3), setting.weights, setting.delays, alpha
+            prob, init_states(prob, 3), setting.weights, setting.delays, alpha
         )
         limit = spectral.limit_matrix(engine.aug)
         monitor = ContractionMonitor(
@@ -406,7 +406,7 @@ def test_contraction_monitor_on_converged_certified_runs():
 def test_tracking_triple_decays_to_zero():
     setting = make_setting(5, 2, 50, 60)
     prob = costs.make_quadratic(5, 3, 70)
-    engine = AugmentedEngine(prob, init_states(prob, 5, 3), setting.weights, setting.delays, 0.002)
+    engine = AugmentedEngine(prob, init_states(prob, 3), setting.weights, setting.delays, 0.002)
     limit = spectral.limit_matrix(engine.aug)
     t0, s0 = tracking_triple(engine, limit, prob.z_star)
     for _ in range(6000):

@@ -12,8 +12,8 @@ from dtacopt.graphs import (
     generate_exponential_graph,
 )
 from dtacopt.spectral import (
+    PILOT_HORIZON,
     SpectralConstants,
-    build_augmented_from,
     build_G_H,
     build_spectral_report,
     contraction_sigma,
@@ -62,13 +62,13 @@ def _power_limit(M: np.ndarray) -> np.ndarray:
     raise AssertionError("power limit did not settle")
 
 
-def _shift_register_perron(aug) -> np.ndarray:
+def _shift_register_perron(C, d) -> np.ndarray:
     """Test oracle: v_0 = Perron vector of C (by eig), v_r = sum_{s>=r} C_s v_0
     for the in-flight slots, normalised to sum 1."""
-    S = aug.slices.slices
+    S = build_delay_slices(C, d).slices
     w, V = np.linalg.eig(S.sum(axis=0))
     v0 = np.real(V[:, np.argmin(np.abs(w - 1.0))])
-    v = np.concatenate([S[r:].sum(axis=0) @ v0 for r in range(aug.tau_max + 1)])
+    v = np.concatenate([S[r:].sum(axis=0) @ v0 for r in range(d.tau_max + 1)])
     return v / v.sum()
 
 
@@ -99,7 +99,7 @@ def test_limit_matrix_fixed_point_residuals():
         g = generate_erdos_renyi(n, 0.6, seed=seed)
         C = build_column_stochastic_weights(g)
         d = assign_delays(g, tau, "uniform-random", seed=seed)
-        aug = build_augmented_matrix(build_delay_slices(C, d), n)
+        aug = build_augmented_matrix(C, d)
         P = limit_matrix(aug)
         assert np.max(np.abs(aug.entries @ P - P)) < 2e-13
         assert np.max(np.abs(P @ P - P)) < 2e-13
@@ -117,17 +117,17 @@ def test_perron_vector_matches_power_and_shift_register_oracles(n, tau_max, mode
     g = generate_erdos_renyi(n, p, seed=seed)
     C = build_column_stochastic_weights(g)
     d = assign_delays(g, tau_max, mode, seed=seed)
-    aug = build_augmented_matrix(build_delay_slices(C, d), n)
+    aug = build_augmented_matrix(C, d)
     pi = perron_vector(aug)
     assert np.max(np.abs(pi - _power_limit(aug.entries).mean(axis=1))) < 1e-12
-    assert np.max(np.abs(pi - _shift_register_perron(aug))) < 1e-12
+    assert np.max(np.abs(pi - _shift_register_perron(C, d))) < 1e-12
 
 
 def test_perron_vector_nonnegative_with_dead_slots_zero():
     g = cycle(3)
     C = build_column_stochastic_weights(g)
     d = DelayMap(tau={(0, 1): 0, (1, 2): 2, (2, 0): 1}, tau_max=2)
-    aug = build_augmented_matrix(build_delay_slices(C, d), 3)
+    aug = build_augmented_matrix(C, d)
     pi = perron_vector(aug)
     assert np.all(pi >= -1e-15)
     assert abs(pi.sum() - 1.0) < 1e-10
@@ -160,7 +160,7 @@ def test_contraction_sigma_monotone_probe_against_power_bound():
         sigma1 = contraction_sigma(C.entries)
         for tau in (0, 1, 2, 5):
             d = assign_delays(g, tau, "uniform-random", seed=101)
-            aug = build_augmented_from(C.entries, d)
+            aug = build_augmented_matrix(C.entries, d)
             sigma = contraction_sigma(aug)
             assert sigma <= sigma1 ** (1.0 / (1.0 + tau)) + 1e-9
             assert sigma < 1.0
@@ -178,7 +178,7 @@ def test_spectral_bound_substochastic_and_stochastic():
         tau = int(rng.choice([1, 2, 5]))
         edges = {(j, i) for i, j in zip(*np.nonzero(M)) if i != j}
         d = random_delay_map(edges, tau, rng)
-        assert verify_spectral_bound(M, tau, d)
+        assert verify_spectral_bound(M, d)
     for trial in range(10):
         n = int(rng.integers(3, 8))
         M = random_nonneg(n, rng) + 1e-3
@@ -186,8 +186,8 @@ def test_spectral_bound_substochastic_and_stochastic():
         tau = int(rng.choice([1, 2, 5]))
         edges = {(j, i) for i, j in zip(*np.nonzero(M)) if i != j}
         d = random_delay_map(edges, tau, rng)
-        assert verify_spectral_bound(M, tau, d)
-        aug = build_augmented_from(M, d)
+        assert verify_spectral_bound(M, d)
+        aug = build_augmented_matrix(M, d)
         assert abs(spectral_radius(aug.entries) - 1.0) <= 1e-9
 
 
@@ -195,8 +195,8 @@ def test_mixing_constants_pilot_run():
     g = generate_erdos_renyi(8, 0.5, seed=3)
     C = build_column_stochastic_weights(g)
     d = assign_delays(g, 3, "uniform-random", seed=3)
-    aug = build_augmented_matrix(build_delay_slices(C, d), 8)
-    mix = measure_mixing_constants(aug, horizon=400)
+    aug = build_augmented_matrix(C, d)
+    mix = measure_mixing_constants(aug)
     assert mix.y_sup >= 1.0
     assert mix.y_inv_sup >= 1.0
     assert 0.0 < mix.gamma1 < 1.0
@@ -206,7 +206,7 @@ def test_mixing_constants_pilot_run():
     y = np.zeros(aug.dim)
     y[:8] = 1.0
     y_inf = 8.0 * pi
-    for k in range(200):
+    for k in range(PILOT_HORIZON + 1):
         gap = np.max(np.abs(y - y_inf))
         assert gap <= mix.envelope_T * mix.gamma1**k + 1e-12
         y = aug.entries @ y
