@@ -21,7 +21,6 @@ from .delays import (
 )
 from .graphs import (
     DirectedGraph,
-    SwitchingSchedule,
     WeightMatrix,
     build_column_stochastic_weights,
     generate_erdos_renyi,

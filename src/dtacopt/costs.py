@@ -93,61 +93,49 @@ class LogisticCost:
     f(w, b) = scale * sum_j log(1 + exp(-(w'c_j + b) y_j)) + 0.5 lam ||w||^2
     where scale is 1/m when mean_scaled.  The optional bias_ridge adds
     0.5 * bias_ridge * b^2 to restore joint strong convexity when needed.
-    The state vector is (w; b); set include_bias=False to drop b entirely.
     """
 
     features: np.ndarray  # (m, p)
     labels: np.ndarray  # (m,) in {-1, +1}
     lam: float
     mean_scaled: bool = True
-    include_bias: bool = True
     bias_ridge: float = 0.0
-    s: float = field(default=0.0)
-    l: float = field(default=0.0)
+    s: float = field(init=False)
+    l: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.s == 0.0 or self.l == 0.0:
-            scale = 1.0 / len(self.labels) if self.mean_scaled else 1.0
-            tilde = self._augmented_features()
-            gram_top = float(np.linalg.eigvalsh(tilde.T @ tilde)[-1])
-            object.__setattr__(self, "s", self.lam)
-            object.__setattr__(self, "l", self.lam + 0.25 * scale * gram_top)
+        ones = np.ones((self.features.shape[0], 1))
+        tilde = np.hstack([self.features, ones])
+        gram_top = float(np.linalg.eigvalsh(tilde.T @ tilde)[-1])
+        object.__setattr__(self, "s", self.lam)
+        object.__setattr__(self, "l", self.lam + 0.25 * self._scale * gram_top)
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1] + (1 if self.include_bias else 0)
+        return self.features.shape[1] + 1
 
-    def _augmented_features(self) -> np.ndarray:
-        if not self.include_bias:
-            return self.features
-        ones = np.ones((self.features.shape[0], 1))
-        return np.hstack([self.features, ones])
+    @property
+    def _scale(self) -> float:
+        return 1.0 / len(self.labels) if self.mean_scaled else 1.0
 
     def _margins(self, z: np.ndarray) -> np.ndarray:
-        if self.include_bias:
-            w, b = z[:-1], z[-1]
-            return self.labels * (self.features @ w + b)
-        return self.labels * (self.features @ z)
+        return self.labels * (self.features @ z[:-1] + z[-1])
 
     def eval(self, z: np.ndarray) -> float:
-        scale = 1.0 / len(self.labels) if self.mean_scaled else 1.0
-        w = z[:-1] if self.include_bias else z
-        total = scale * float(np.sum(_log1pexp(-self._margins(z))))
+        w = z[:-1]
+        total = self._scale * float(np.sum(_log1pexp(-self._margins(z))))
         total += 0.5 * self.lam * float(w @ w)
-        if self.include_bias and self.bias_ridge:
+        if self.bias_ridge:
             total += 0.5 * self.bias_ridge * float(z[-1] ** 2)
         return total
 
     def grad(self, z: np.ndarray) -> np.ndarray:
-        scale = 1.0 / len(self.labels) if self.mean_scaled else 1.0
+        scale = self._scale
         coeff = -self.labels * _sigmoid(-self._margins(z))  # d loss / d margin-arg
-        g_feat = scale * (self.features.T @ coeff)
-        if self.include_bias:
-            g = np.empty(self.dim)
-            g[:-1] = g_feat + self.lam * z[:-1]
-            g[-1] = scale * float(np.sum(coeff)) + self.bias_ridge * z[-1]
-            return g
-        return g_feat + self.lam * z
+        g = np.empty(self.dim)
+        g[:-1] = scale * (self.features.T @ coeff) + self.lam * z[:-1]
+        g[-1] = scale * float(np.sum(coeff)) + self.bias_ridge * z[-1]
+        return g
 
 
 @dataclass(frozen=True)
@@ -162,25 +150,21 @@ class SmoothSvmCost:
     labels: np.ndarray  # (m,) in {-1, +1}
     margin_weight: float
     smoothness: float
-    s: float = field(default=0.0)
-    l: float = field(default=0.0)
+    s: float = field(init=False)
+    l: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.s == 0.0 or self.l == 0.0:
-            tilde = self._tilde()
-            gram_top = float(np.linalg.eigvalsh(tilde.T @ tilde)[-1])
-            object.__setattr__(self, "s", 2.0)
-            object.__setattr__(
-                self, "l", 2.0 + self.margin_weight * self.smoothness / 4.0 * gram_top
-            )
+        ones = np.ones((self.features.shape[0], 1))
+        tilde = np.hstack([self.features, -ones])
+        gram_top = float(np.linalg.eigvalsh(tilde.T @ tilde)[-1])
+        object.__setattr__(self, "s", 2.0)
+        object.__setattr__(
+            self, "l", 2.0 + self.margin_weight * self.smoothness / 4.0 * gram_top
+        )
 
     @property
     def dim(self) -> int:
         return self.features.shape[1] + 1
-
-    def _tilde(self) -> np.ndarray:
-        ones = np.ones((self.features.shape[0], 1))
-        return np.hstack([self.features, -ones])
 
     def _slack(self, z: np.ndarray) -> np.ndarray:
         omega, nu = z[:-1], z[-1]

@@ -163,13 +163,13 @@ def load_delay_map(path: str | Path) -> DelayMap:
             tau_max = int(bound)
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'j i tau', got {raw!r}")
-        link = (int(parts[0]), int(parts[1]))
-        if link in tau:
-            raise ValueError(f"{path}:{lineno}: link {link} listed twice")
-        tau[link] = int(parts[2])
+        try:
+            j, i, t = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected 'j i tau', got {raw!r}") from None
+        if (j, i) in tau:
+            raise ValueError(f"{path}:{lineno}: link {(j, i)} listed twice")
+        tau[j, i] = t
     if tau_max is None:
         tau_max = max(tau.values(), default=0)
     return DelayMap(tau=tau, tau_max=tau_max)

@@ -241,15 +241,12 @@ def build_setting(cfg: ExperimentConfig) -> StaticSetting | SwitchingPlan:
     if cfg.get("switching.enabled"):
         if cfg.get("graph.type") != "erdos-renyi":
             raise ConfigError("switching schedules support erdos-renyi graphs only")
-        schedule = graphs.SwitchingSchedule(
+        return SwitchingPlan(
             period=cfg.get("switching.period"),
             n=cfg.get("graph.n"),
             p=cfg.get("graph.p"),
-            seed=cfg.get("graph.seed"),
-            require_connected=cfg.get("switching.mode") == "connected",
-        )
-        return SwitchingPlan(
-            schedule=schedule,
+            graph_seed=cfg.get("graph.seed"),
+            require_strong=cfg.get("switching.mode") == "connected",
             tau_max=cfg.get("delay.tau_max"),
             delay_mode=cfg.get("delay.mode"),
             delay_seed=cfg.get("delay.seed"),

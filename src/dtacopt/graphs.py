@@ -84,35 +84,6 @@ class WeightMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class SwitchingSchedule:
-    """Topology generator for runs whose network changes every `period` steps.
-
-    Each epoch draws a fresh Erdos-Renyi digraph from a stream derived from
-    (seed, epoch), so schedules are reproducible.  With ``require_connected``
-    every epoch topology is itself strongly connected; switching it off gives
-    raw samples (the B-connected regime, for which no convergence rate is
-    certified here).
-    """
-
-    period: int
-    n: int
-    p: float
-    seed: int
-    require_connected: bool = True
-
-    def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ValueError("switching period must be >= 1")
-
-    def graph_at(self, epoch: int) -> DirectedGraph:
-        stream = np.random.SeedSequence([self.seed, epoch])
-        if self.require_connected:
-            return generate_erdos_renyi(self.n, self.p, stream)
-        rng = np.random.default_rng(stream)
-        return _sample_er(self.n, self.p, rng)
-
-
 def _sample_er(n: int, p: float, rng: np.random.Generator) -> DirectedGraph:
     mask = rng.random((n, n)) < p
     np.fill_diagonal(mask, False)
@@ -122,12 +93,19 @@ def _sample_er(n: int, p: float, rng: np.random.Generator) -> DirectedGraph:
 
 
 def generate_erdos_renyi(
-    n: int, p: float, seed: int | np.random.SeedSequence
+    n: int,
+    p: float,
+    seed: int | np.random.SeedSequence,
+    require_strong: bool = True,
 ) -> DirectedGraph:
-    """Strongly connected directed G(n, p): each ordered pair is an edge w.p. p.
+    """Directed G(n, p): each ordered pair is an edge w.p. p.
 
-    Resamples from the seeded stream until the draw is strongly connected;
-    raises RetryBudgetError after ER_MAX_RETRIES failures (p too small for n).
+    Every sample is drawn from the stream seeded by `seed`; a switching run
+    seeds epoch e with SeedSequence([graph_seed, e]).  With require_strong
+    the stream is resampled until a draw is strongly connected, raising
+    RetryBudgetError after ER_MAX_RETRIES failures (p too small for n).
+    Without it the first draw is returned as is: the B-connected regime,
+    where only the union of a run's topologies need be connected.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -136,7 +114,7 @@ def generate_erdos_renyi(
     rng = np.random.default_rng(seed)
     for _ in range(ER_MAX_RETRIES):
         g = _sample_er(n, p, rng)
-        if is_strongly_connected(g):
+        if not require_strong or is_strongly_connected(g):
             return g
     raise RetryBudgetError(
         f"no strongly connected G({n}, {p}) digraph in {ER_MAX_RETRIES} samples"
@@ -177,9 +155,10 @@ def build_column_stochastic_weights(
     """Uniform push-sum weights: C[i, j] = 1 / (1 + outdeg(j)) on each link and
     on the (implicit) self-loop, so each sender splits its mass evenly.
 
-    Strong connectivity is required by default; switching schedules in the
-    B-connected regime pass require_strong=False since only the union of
-    their topologies is connected.
+    Strong connectivity is required by default; a switching plan in the
+    B-connected regime passes require_strong=False, as it does to
+    generate_erdos_renyi, since only the union of its topologies is
+    connected.
     """
     if g.n < 2:
         raise ValueError("weight design needs n >= 2")
@@ -208,9 +187,10 @@ def load_edge_list(path: str | Path) -> DirectedGraph:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'j i', got {raw!r}")
-        edges.add((int(parts[0]), int(parts[1])))
+        try:
+            j, i = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected 'j i', got {raw!r}") from None
+        edges.add((j, i))
     n = 1 + max(max(j, i) for j, i in edges) if edges else 1
     return DirectedGraph(n, frozenset(edges))

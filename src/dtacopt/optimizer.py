@@ -39,7 +39,7 @@ current gradient scale so it stays meaningful on diverging runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,9 +51,9 @@ from .delays import (
     build_delay_slices,
 )
 from .graphs import (
-    SwitchingSchedule,
     WeightMatrix,
     build_column_stochastic_weights,
+    generate_erdos_renyi,
 )
 
 
@@ -310,20 +310,10 @@ class TraceRecord:
     mass_error: float
 
     def as_csv_row(self) -> str:
-        return ",".join(
-            repr(v)
-            for v in (
-                self.iter,
-                self.optimality_gap,
-                self.mse,
-                self.consensus_error,
-                self.grad_tracker_sum_error,
-                self.mass_error,
-            )
-        )
+        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
 
 
-TRACE_HEADER = "iter,optimality_gap,mse,consensus_error,grad_tracker_sum_error,mass_error"
+TRACE_HEADER = ",".join(f.name for f in fields(TraceRecord))
 
 
 # a run whose mean squared distance to z* passes this is DIVERGED
@@ -352,18 +342,36 @@ class StaticSetting:
 
 @dataclass(frozen=True)
 class SwitchingPlan:
-    """Fresh topology (and fresh delays at the same bound) every period."""
+    """Erdos-Renyi topology and delays at the same bound, redrawn every
+    `period` iterations.
 
-    schedule: SwitchingSchedule
+    Epoch e draws its graph from SeedSequence([graph_seed, e]) and its delays
+    from SeedSequence([delay_seed, e]).  With require_strong every epoch's
+    graph is strongly connected; without it each epoch takes its stream's
+    first draw (the B-connected regime, with no certified rate here).
+    """
+
+    period: int
+    n: int
+    p: float
+    graph_seed: int
+    require_strong: bool
     tau_max: int
     delay_mode: str
     delay_seed: int
 
+    def __post_init__(self) -> None:
+        if self.period < 1:
+            raise ValueError("switching period must be >= 1")
+
     def realize(self, epoch: int) -> StaticSetting:
-        g = self.schedule.graph_at(epoch)
-        C = build_column_stochastic_weights(
-            g, require_strong=self.schedule.require_connected
+        g = generate_erdos_renyi(
+            self.n,
+            self.p,
+            np.random.SeedSequence([self.graph_seed, epoch]),
+            require_strong=self.require_strong,
         )
+        C = build_column_stochastic_weights(g, require_strong=self.require_strong)
         d = assign_delays(
             g,
             self.tau_max,
@@ -371,10 +379,6 @@ class SwitchingPlan:
             np.random.SeedSequence([self.delay_seed, epoch]),
         )
         return StaticSetting(weights=C, delays=d)
-
-    @property
-    def period(self) -> int:
-        return self.schedule.period
 
 
 @dataclass

@@ -25,7 +25,7 @@ augmentation comes from `delays.build_augmented_matrix`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -316,14 +316,7 @@ class SpectralReport:
         return " ".join(f"{k}={v}" for k, v in self.as_pairs())
 
     def as_pairs(self) -> list[tuple[str, str]]:
-        out = []
-        for name in (
-            "n", "tau_max", "rho_C", "rho_Cbar", "bound", "sigma", "sigma1",
-            "sigma_norm2", "sigma1_norm2", "kappa", "epsilon", "kappa_aug",
-            "epsilon_aug", "y", "y_minus", "gamma1", "envelope_T",
-        ):
-            out.append((name, repr(getattr(self, name))))
-        return out
+        return [(f.name, repr(getattr(self, f.name))) for f in fields(self) if f.repr]
 
 
 def build_spectral_report(C: np.ndarray, d: DelayMap) -> SpectralReport:

@@ -242,6 +242,21 @@ def test_delay_file_off_the_graph_links_is_a_config_error(tmp_path, capsys):
         assert err.startswith("config error: delay map domain does not match")
 
 
+@pytest.mark.parametrize(
+    "option, text, expected",
+    [("--graph-file", "0 1\n0 x\n", "2: expected 'j i', got '0 x'"),
+     ("--delay-file", "0 1 one\n", "1: expected 'j i tau', got '0 1 one'")],
+)
+def test_non_integer_field_in_an_input_file_names_its_line(
+    tmp_path, capsys, option, text, expected
+):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code = main(["spectral", option, str(path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {path}:{expected}\n"
+
+
 @pytest.mark.parametrize("command", ["spectral", "check-bound"])
 def test_bound_that_overflows_exits_three(command, monkeypatch, capsys):
     from dtacopt import spectral

@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dtacopt.costs import (
-    LogisticCost,
     OracleError,
     make_least_squares,
     make_logistic,
@@ -164,27 +163,22 @@ def test_least_squares_rejects_underdetermined_system():
 
 
 def test_logistic_single_sample_bisection_oracle():
-    """No-offset logistic with one (+1, c=1) sample: the optimum solves
-    lam * w = sigmoid(-w); the oracle is plain bisection."""
-    model = LogisticCost(
-        features=np.array([[1.0]]),
-        labels=np.array([1.0]),
-        lam=1.0,
-        mean_scaled=False,
-        include_bias=False,
-    )
+    """No-offset logistic with one (+1, c=1) sample and lam=1:
+    f(w) = log(1 + exp(-w)) + w^2 / 2, whose optimum solves w = sigmoid(-w)
+    and whose gradient is 1 + 1/4 Lipschitz; the oracle is plain bisection."""
+
+    def grad(v):
+        return v - 1.0 / (1.0 + np.exp(v))
+
     lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        resid = 1.0 * mid - 1.0 / (1.0 + np.exp(mid))
-        if resid < 0:
+        if grad(np.array([mid]))[0] < 0:
             lo = mid
         else:
             hi = mid
     w_star = 0.5 * (lo + hi)
-    z = nesterov_minimize(
-        lambda v: model.grad(v), np.zeros(1), lipschitz=model.l, tol=1e-12
-    )
+    z = nesterov_minimize(grad, np.zeros(1), lipschitz=1.25, tol=1e-12)
     assert z[0] == pytest.approx(w_star, abs=1e-9)
 
 

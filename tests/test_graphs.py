@@ -5,7 +5,6 @@ from dtacopt.graphs import (
     ER_MAX_RETRIES,
     DirectedGraph,
     RetryBudgetError,
-    SwitchingSchedule,
     WeightMatrix,
     build_column_stochastic_weights,
     dump_edge_list,
@@ -155,23 +154,28 @@ def test_weight_matrix_validates_columns():
         WeightMatrix(np.array([[1.5, 0.5], [-0.5, 0.5]]))
 
 
-def test_switching_schedule_is_deterministic_and_connected():
-    sched = SwitchingSchedule(period=2, n=8, p=0.5, seed=11)
-    g0a = sched.graph_at(0)
-    g0b = sched.graph_at(0)
-    g1 = sched.graph_at(1)
+def test_er_epoch_streams_are_deterministic_and_connected():
+    def epoch(e):
+        return generate_erdos_renyi(8, 0.5, np.random.SeedSequence([11, e]))
+
+    g0a, g0b, g1 = epoch(0), epoch(0), epoch(1)
     assert g0a.edges == g0b.edges
     assert g0a.edges != g1.edges
-    for epoch in range(5):
-        assert is_strongly_connected(sched.graph_at(epoch))
+    for e in range(5):
+        assert is_strongly_connected(epoch(e))
 
 
-def test_switching_schedule_b_connected_mode_skips_retries():
-    sched = SwitchingSchedule(period=2, n=6, p=0.15, seed=5, require_connected=False)
-    any_disconnected = any(
-        not is_strongly_connected(sched.graph_at(e)) for e in range(30)
-    )
-    assert any_disconnected  # raw samples at low p are usually not connected
+def test_er_b_connected_mode_skips_retries():
+    def epoch(e, require_strong):
+        stream = np.random.SeedSequence([5, e])
+        return generate_erdos_renyi(6, 0.15, stream, require_strong=require_strong)
+
+    raw = [epoch(e, False) for e in range(30)]
+    assert any(not is_strongly_connected(g) for g in raw)  # raw samples at low p
+    # a connected first draw is what the retrying sampler returns too
+    for e, g in enumerate(raw):
+        if is_strongly_connected(g):
+            assert epoch(e, True).edges == g.edges
 
 
 def test_edge_list_round_trip(tmp_path):

@@ -290,8 +290,10 @@ def test_run_convergence_status_and_trace_cadence():
 
 
 def test_switching_plan_converges_and_preserves_mass():
-    schedule = graphs.SwitchingSchedule(period=2, n=8, p=0.5, seed=13)
-    plan = SwitchingPlan(schedule=schedule, tau_max=3, delay_mode="uniform-random", delay_seed=14)
+    plan = SwitchingPlan(
+        period=2, n=8, p=0.5, graph_seed=13, require_strong=True,
+        tau_max=3, delay_mode="uniform-random", delay_seed=14,
+    )
     prob = costs.make_quadratic(8, 3, 15)
     cfg = RunConfig(alpha=0.004, max_iters=15000, tol=1e-9, init_seed=3)
     result = run(cfg, plan, prob)
@@ -300,12 +302,22 @@ def test_switching_plan_converges_and_preserves_mass():
     assert max(rec.grad_tracker_sum_error for rec in result.records) < 1e-9
 
 
+def test_switching_plan_rejects_period_below_one():
+    with pytest.raises(ValueError, match="period must be >= 1"):
+        SwitchingPlan(
+            period=0, n=6, p=0.6, graph_seed=13, require_strong=True,
+            tau_max=3, delay_mode="uniform-random", delay_seed=14,
+        )
+
+
 def test_run_switches_topology_on_every_engine():
     """run() installs each switched topology through set_topology(C, delays)
     whatever the engine: the matrix-form oracle follows the per-node protocol
     row for row, and the delay-free baseline keeps its weight mass."""
-    schedule = graphs.SwitchingSchedule(period=2, n=6, p=0.6, seed=13)
-    plan = SwitchingPlan(schedule=schedule, tau_max=3, delay_mode="uniform-random", delay_seed=14)
+    plan = SwitchingPlan(
+        period=2, n=6, p=0.6, graph_seed=13, require_strong=True,
+        tau_max=3, delay_mode="uniform-random", delay_seed=14,
+    )
     prob = costs.make_quadratic(6, 3, 15)
     results = {
         name: run(RunConfig(alpha=0.004, max_iters=15000, tol=1e-9, engine=name), plan, prob)
