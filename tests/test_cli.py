@@ -246,6 +246,7 @@ def test_delay_file_off_the_graph_links_is_a_config_error(tmp_path, capsys):
     "option, text, expected",
     [("--graph-file", "0 1\n0 x\n", "2: expected 'j i', got '0 x'"),
      ("--delay-file", "0 1 one\n", "1: expected 'j i tau', got '0 1 one'")],
+    ids=["graph-file", "delay-file"],
 )
 def test_non_integer_field_in_an_input_file_names_its_line(
     tmp_path, capsys, option, text, expected

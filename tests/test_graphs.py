@@ -168,13 +168,15 @@ def test_er_epoch_streams_are_deterministic_and_connected():
 def test_er_b_connected_mode_skips_retries():
     def epoch(e, require_strong):
         stream = np.random.SeedSequence([5, e])
-        return generate_erdos_renyi(6, 0.15, stream, require_strong=require_strong)
+        return generate_erdos_renyi(6, 0.4, stream, require_strong=require_strong)
 
     raw = [epoch(e, False) for e in range(30)]
-    assert any(not is_strongly_connected(g) for g in raw)  # raw samples at low p
+    connected = [is_strongly_connected(g) for g in raw]
+    assert not all(connected)  # raw samples at low p are often not connected
+    assert any(connected)
     # a connected first draw is what the retrying sampler returns too
     for e, g in enumerate(raw):
-        if is_strongly_connected(g):
+        if connected[e]:
             assert epoch(e, True).edges == g.edges
 
 
