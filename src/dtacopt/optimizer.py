@@ -310,10 +310,13 @@ class TraceRecord:
     mass_error: float
 
     def as_csv_row(self) -> str:
-        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
+        return ",".join(repr(getattr(self, name)) for name in _TRACE_COLUMNS)
 
 
-TRACE_HEADER = ",".join(f.name for f in fields(TraceRecord))
+# taken once: every fields() call builds a tuple, and one per row leaves up to
+# 2000 of them (about 170 KiB) on CPython's tuple free list after a trace write
+_TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+TRACE_HEADER = ",".join(_TRACE_COLUMNS)
 
 
 # a run whose mean squared distance to z* passes this is DIVERGED
