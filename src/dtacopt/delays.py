@@ -15,34 +15,62 @@ row delivers slice-0 sends plus whatever was one step from arrival, and each
 identity block moves in-flight mass one slot closer to delivery.  The matrix
 is column stochastic whenever C is, so total mass is conserved even while
 some of it is in transit.
+
+A `DelayMap` keeps its links and delays as integer arrays `src`, `dst`,
+`delay` beside the `tau` dict, in the dict's order.  `assign_delays` draws
+over a graph's sorted edge arrays, so `tau` lists the links in
+`sorted(g.edges)` order.  `build_delay_slices` checks the map's domain by
+counting nonzeros, building sets of links only to word its error, and moves
+every weight into its slice with one scatter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .graphs import DirectedGraph, Edge, WeightMatrix
+from .graphs import DirectedGraph, Edge, WeightMatrix, _int_array
 
 
 @dataclass(frozen=True)
 class DelayMap:
-    """Fixed integer delay per link, bounded by tau_max; self-loops are 0."""
+    """Fixed integer delay per link, bounded by tau_max; self-loops are 0.
+
+    `src`, `dst` and `delay` hold `tau`'s keys and values as integer arrays,
+    in its order.  They are derived from `tau` unless `assign_delays`, which
+    draws over a graph's edge arrays, passes them.
+    """
 
     tau: dict[Edge, int]
     tau_max: int
+    src: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
+    dst: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
+    delay: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.tau_max < 0:
             raise ValueError("tau_max must be >= 0")
-        for (j, i), t in self.tau.items():
-            if not (0 <= t <= self.tau_max):
-                raise ValueError(f"delay {t} on ({j}, {i}) outside [0, {self.tau_max}]")
-            if j == i and t != 0:
-                raise ValueError("self-loop delays must be 0")
+        delays = self.tau.values()
+        if delays and not (0 <= min(delays) and max(delays) <= self.tau_max):
+            (j, i), t = min((e, t) for e, t in self.tau.items() if not 0 <= t <= self.tau_max)
+            raise ValueError(f"delay {t} on ({j}, {i}) outside [0, {self.tau_max}]")
+        if self.src is None:
+            flat = _int_array(chain.from_iterable(self.tau), 2 * len(self.tau))
+            object.__setattr__(self, "src", flat[0::2])
+            object.__setattr__(self, "dst", flat[1::2])
+            object.__setattr__(self, "delay", _int_array(delays, len(delays)))
+        # a nonzero delay off the links sits on a self-loop
+        if np.count_nonzero(self.delay[self.links]) != np.count_nonzero(self.delay):
+            raise ValueError("self-loop delays must be 0")
+
+    @cached_property
+    def links(self) -> np.ndarray:
+        """Positions in `src`/`dst`/`delay` of the entries that are not self-loops."""
+        return np.flatnonzero(self.src - self.dst)
 
 
 def assign_delays(
@@ -51,28 +79,28 @@ def assign_delays(
     mode: str,
     seed: int | np.random.SeedSequence = 0,
 ) -> DelayMap:
-    """Draw a delay map for every edge of g.
+    """Draw a delay map for every edge of g, in the order of g's edge arrays.
 
-    mode 'uniform-random': independent uniform draws on {0..tau_max};
+    mode 'uniform-random': independent uniform draws on {0..tau_max}, one
+    `integers(0, tau_max + 1, size=|E|)` call;
     mode 'homogeneous-max': every link gets tau_max;
     mode 'zero': all delays 0.  Self-loops always get 0.
     """
     if tau_max < 0:
         raise ValueError("tau_max must be >= 0")
-    edges = sorted(g.edges)
     if mode == "zero" or tau_max == 0:
-        tau = {e: 0 for e in edges}
+        draws = 0
     elif mode == "homogeneous-max":
-        tau = {(j, i): (0 if j == i else tau_max) for j, i in edges}
+        draws = tau_max
     elif mode == "uniform-random":
         rng = np.random.default_rng(seed)
-        draws = rng.integers(0, tau_max + 1, size=len(edges))
-        tau = {
-            (j, i): (0 if j == i else int(t)) for (j, i), t in zip(edges, draws)
-        }
+        draws = rng.integers(0, tau_max + 1, size=len(g.src))[g.links]
     else:
         raise ValueError(f"unknown delay mode {mode!r}")
-    return DelayMap(tau=tau, tau_max=tau_max)
+    delay = np.zeros(len(g.src), dtype=np.intp)
+    delay[g.links] = draws  # self-loops keep 0
+    tau = dict(zip(g.pairs, delay.tolist()))
+    return DelayMap(tau=tau, tau_max=tau_max, src=g.src, dst=g.dst, delay=delay)
 
 
 @dataclass(frozen=True)
@@ -87,26 +115,35 @@ def build_delay_slices(C: WeightMatrix | np.ndarray, d: DelayMap) -> DelaySlices
     so the slices sum back to C exactly.
 
     Diagonal weights (implicit self-loops) go to slice 0.  The delay map
-    domain must cover the off-diagonal sparsity pattern of C.
+    domain must cover the off-diagonal sparsity pattern of C: its links are
+    distinct (dict keys), so it does when each lies inside C, each is a
+    nonzero of C, and there are as many as C has off-diagonal nonzeros.
     """
     M = C.entries if isinstance(C, WeightMatrix) else np.asarray(C, dtype=float)
     n = M.shape[0]
+    try:  # flat positions of the C[i, j] the links j -> i carry
+        at = np.ravel_multi_index((d.dst[d.links], d.src[d.links]), M.shape)
+    except ValueError:  # a link outside 0..n-1
+        raise _domain_error(M, d) from None
+    weights = M.ravel()[at]
+    off_diagonal = np.count_nonzero(M) - np.count_nonzero(M.diagonal())
+    if np.count_nonzero(weights) != len(at) or len(at) != off_diagonal:
+        raise _domain_error(M, d)
+    slices = np.zeros((d.tau_max + 1, n, n))
+    np.fill_diagonal(slices[0], M.diagonal())
+    slices.reshape(d.tau_max + 1, -1)[d.delay[d.links], at] = weights
+    return DelaySlices(slices=slices)
+
+
+def _domain_error(M: np.ndarray, d: DelayMap) -> ValueError:
     pattern = {(j, i) for i, j in zip(*np.nonzero(M)) if i != j}
     mapped = {e for e in d.tau if e[0] != e[1]}
-    if pattern != mapped:
-        missing = sorted(pattern - mapped)[:5]
-        spurious = sorted(mapped - pattern)[:5]
-        raise ValueError(
-            "delay map domain does not match the matrix pattern "
-            f"(unmapped links {missing}, mapped non-links {spurious})"
-        )
-    slices = np.zeros((d.tau_max + 1, n, n))
-    for idx in range(n):
-        slices[0, idx, idx] = M[idx, idx]
-    for (j, i), t in d.tau.items():
-        if j != i:
-            slices[t, i, j] = M[i, j]
-    return DelaySlices(slices=slices)
+    missing = sorted(pattern - mapped)[:5]
+    spurious = sorted(mapped - pattern)[:5]
+    return ValueError(
+        "delay map domain does not match the matrix pattern "
+        f"(unmapped links {missing}, mapped non-links {spurious})"
+    )
 
 
 @dataclass(eq=False)

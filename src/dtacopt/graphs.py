@@ -5,12 +5,23 @@ the weight matrix entry ``C[i, j]`` is the weight the link ``j -> i``
 carries.  Weights follow the standard push-sum design: node ``j`` splits
 its mass uniformly over itself and its out-neighbors, which makes every
 column sum to one and keeps the diagonal positive.
+
+Every graph also holds its edges in the order of `sorted(edges)`, built
+once: as `pairs`, a tuple of the set's own edge tuples (`delays.assign_delays`
+keys its map with them, so map and graph share them), and as two integer
+arrays `src`, `dst`.  The ER sampler takes that order straight from
+`np.nonzero` of its adjacency mask; other graphs sort their edge set once.
+The builders here and in `delays` read the arrays with whole-array
+operations, never the set, and `is_strongly_connected` computes its answer
+once per graph and keeps it, so a sampled graph is not searched again when
+its weights are built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,41 +37,56 @@ class RetryBudgetError(RuntimeError):
     """No strongly connected sample was found within the retry budget."""
 
 
+def _int_array(values, count: int) -> np.ndarray:
+    """The `count` Python ints of `values` as one integer array."""
+    try:
+        return np.fromiter(values, np.intp, count)
+    except OverflowError:
+        raise ValueError("node index or delay outside the int64 range") from None
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
-    """Digraph on nodes ``0..n-1`` with edges stored as (sender, receiver)."""
+    """Digraph on nodes ``0..n-1`` with edges stored as (sender, receiver).
+
+    `pairs` lists the same edge tuples in the order of `sorted(edges)`, and
+    `src`/`dst` hold them as two integer arrays in that order; the builders
+    below read these, never the set.  They are derived from `edges` unless a
+    sampler that already has all three in that order, and in range, passes
+    them (`np.nonzero` of an adjacency mask returns that order).
+    """
 
     n: int
     edges: frozenset[Edge]
+    pairs: tuple[Edge, ...] = field(default=None, kw_only=True, repr=False, compare=False)
+    src: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
+    dst: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("graph needs at least one node")
-        for j, i in self.edges:
-            if not (0 <= j < self.n and 0 <= i < self.n):
+        if self.pairs is None:
+            pairs = tuple(sorted(self.edges))
+            flat = list(chain.from_iterable(pairs))
+            if flat and not (0 <= min(flat) and max(flat) < self.n):
+                j, i = next(e for e in pairs if not (0 <= min(e) and max(e) < self.n))
                 raise ValueError(f"edge ({j}, {i}) out of range for n={self.n}")
+            flat = _int_array(flat, len(flat))
+            object.__setattr__(self, "pairs", pairs)
+            object.__setattr__(self, "src", flat[0::2])
+            object.__setattr__(self, "dst", flat[1::2])
 
     @cached_property
-    def _in_lists(self) -> list[list[int]]:
-        lists: list[list[int]] = [[] for _ in range(self.n)]
-        for j, i in sorted(self.edges):
-            lists[i].append(j)
-        return lists
+    def links(self) -> np.ndarray:
+        """Positions in `src`/`dst` of the edges that are not self-loops."""
+        return np.flatnonzero(self.src - self.dst)
 
     @cached_property
-    def _out_lists(self) -> list[list[int]]:
-        lists: list[list[int]] = [[] for _ in range(self.n)]
-        for j, i in sorted(self.edges):
-            lists[j].append(i)
-        return lists
-
-    def out_neighbors(self, j: int) -> list[int]:
-        """Receivers i with a link j -> i."""
-        return list(self._out_lists[j])
-
-    def out_degree(self, j: int) -> int:
-        """Out-degree of j, self-loop excluded."""
-        return sum(1 for i in self._out_lists[j] if i != j)
+    def _strongly_connected(self) -> bool:
+        return self.n == 1 or (
+            _reaches_every_node(self.n, self.src, self.dst)
+            and _reaches_every_node(self.n, self.dst, self.src)
+        )
 
 
 @dataclass(frozen=True)
@@ -88,8 +114,8 @@ def _sample_er(n: int, p: float, rng: np.random.Generator) -> DirectedGraph:
     mask = rng.random((n, n)) < p
     np.fill_diagonal(mask, False)
     senders, receivers = np.nonzero(mask)
-    edges = frozenset(zip(senders.tolist(), receivers.tolist()))
-    return DirectedGraph(n, edges)
+    pairs = tuple(zip(senders.tolist(), receivers.tolist()))
+    return DirectedGraph(n, frozenset(pairs), pairs=pairs, src=senders, dst=receivers)
 
 
 def generate_erdos_renyi(
@@ -131,22 +157,31 @@ def generate_exponential_graph(n: int) -> DirectedGraph:
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
-    """True iff every node reaches every other node along directed paths."""
-    if g.n == 1:
-        return True
-    return _reaches_all(g._out_lists) and _reaches_all(g._in_lists)
+    """True iff every node reaches every other node along directed paths.
+    Computed once per graph and kept on it."""
+    return g._strongly_connected
 
 
-def _reaches_all(adj: list[list[int]]) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(adj)
+def _reaches_every_node(n: int, frm: np.ndarray, to: np.ndarray) -> bool:
+    """Reachability from node 0 over the links frm[k] -> to[k]: each pass
+    marks the receivers of every link whose sender is marked, until every
+    node is marked or a pass marks nothing new.
+
+    The marks are floats, so each per-link temporary takes 8 bytes a link.
+    numpy keeps up to 7 freed buffers of each size under 1 KiB for reuse;
+    bool temporaries of |E| bytes, a new size at each switching epoch, would
+    pile up there (about 0.3 MiB over 1000 epochs at n=30)."""
+    seen = np.zeros(n)
+    seen[0] = 1.0
+    count = 1
+    while True:
+        seen[np.bincount(to, seen[frm], n) > 0] = 1.0
+        now = np.count_nonzero(seen)
+        if now == n:
+            return True
+        if now == count:
+            return False
+        count = now
 
 
 def build_column_stochastic_weights(
@@ -154,6 +189,7 @@ def build_column_stochastic_weights(
 ) -> WeightMatrix:
     """Uniform push-sum weights: C[i, j] = 1 / (1 + outdeg(j)) on each link and
     on the (implicit) self-loop, so each sender splits its mass evenly.
+    Self-loops of g add no weight.
 
     Strong connectivity is required by default; a switching plan in the
     B-connected regime passes require_strong=False, as it does to
@@ -164,19 +200,19 @@ def build_column_stochastic_weights(
         raise ValueError("weight design needs n >= 2")
     if require_strong and not is_strongly_connected(g):
         raise ValueError("weight design requires a strongly connected digraph")
+    senders, receivers = g.src[g.links], g.dst[g.links]
+    # out-degrees summed as floats (exact for counts): an int-to-float cast of
+    # the counts would touch 64 KiB of numpy code that no other path runs
+    w = 1.0 / (1.0 + np.bincount(senders, np.ones(len(senders)), g.n))
     C = np.zeros((g.n, g.n))
-    for j in range(g.n):
-        w = 1.0 / (1.0 + g.out_degree(j))
-        C[j, j] = w
-        for i in g.out_neighbors(j):
-            if i != j:
-                C[i, j] = w
+    C[receivers, senders] = w[senders]
+    np.fill_diagonal(C, w)
     return WeightMatrix(C)
 
 
 def dump_edge_list(g: DirectedGraph, path: str | Path) -> None:
     """Write one `j i` line per edge (zero-indexed, sorted)."""
-    lines = [f"{j} {i}" for j, i in sorted(g.edges)]
+    lines = [f"{j} {i}" for j, i in g.pairs]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

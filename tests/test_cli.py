@@ -242,6 +242,21 @@ def test_delay_file_off_the_graph_links_is_a_config_error(tmp_path, capsys):
         assert err.startswith("config error: delay map domain does not match")
 
 
+def test_delay_file_link_outside_the_graph_is_a_config_error(tmp_path, capsys):
+    graph_file = tmp_path / "g.txt"
+    delay_file = tmp_path / "d.txt"
+    graph_file.write_text("0 1\n1 2\n2 0\n")
+    delay_file.write_text("0 1 1\n1 2 0\n2 0 2\n2 7 1\n")
+    code = main(["spectral", "--graph-file", str(graph_file), "--delay-file", str(delay_file),
+                 "--set", "graph.n=3", "--set", "cost.dim=2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (
+        "config error: delay map domain does not match the matrix pattern "
+        "(unmapped links [], mapped non-links [(2, 7)])\n"
+    )
+
+
 @pytest.mark.parametrize(
     "option, text, expected",
     [("--graph-file", "0 1\n0 x\n", "2: expected 'j i', got '0 x'"),

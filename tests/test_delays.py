@@ -37,6 +37,12 @@ def test_delay_map_validation():
         DelayMap(tau={}, tau_max=-1)
 
 
+def test_delay_bound_error_names_the_smallest_link():
+    tau = {(3, 4): 9, (0, 2): 0, (1, 2): -1, (0, 1): 7}
+    with pytest.raises(ValueError, match=r"^delay 7 on \(0, 1\) outside \[0, 5\]$"):
+        DelayMap(tau=tau, tau_max=5)
+
+
 def test_assign_delays_zero_bound_forces_zero():
     g = cycle(4)
     for mode in ("uniform-random", "homogeneous-max", "zero"):
@@ -57,6 +63,13 @@ def test_assign_delays_uniform_range_and_determinism():
     assert set(d1.tau) == g.edges
     assert all(0 <= t <= 5 for t in d1.tau.values())
     assert len(set(d1.tau.values())) > 1
+
+
+def test_delay_map_keys_are_the_graph_edge_tuples():
+    # sharing them, not copying, keeps a large map's set-up memory down
+    for g in (generate_erdos_renyi(12, 0.4, seed=5), cycle(300)):
+        d = assign_delays(g, 3, "uniform-random", seed=1)
+        assert all(key is edge for key, edge in zip(d.tau, g.pairs, strict=True))
 
 
 def test_assign_delays_rejects_unknown_mode():
@@ -108,6 +121,17 @@ def test_slices_reject_domain_mismatch():
     bad = DelayMap(tau={(0, 1): 0, (1, 2): 1}, tau_max=1)  # misses (2, 0)
     with pytest.raises(ValueError):
         build_delay_slices(C, bad)
+
+
+@pytest.mark.parametrize(
+    "link", [(2, 3), (3, 0), (-1, 0), (0, -3)],
+    ids=["receiver-past-n", "sender-past-n", "negative-sender", "negative-receiver"],
+)
+def test_slices_reject_a_link_outside_the_matrix(link):
+    C = build_column_stochastic_weights(cycle(3))
+    d = DelayMap(tau={(0, 1): 0, (1, 2): 1, (2, 0): 1, link: 1}, tau_max=1)
+    with pytest.raises(ValueError, match=r"mapped non-links \[\(" + ", ".join(map(str, link))):
+        build_delay_slices(C, d)
 
 
 def test_augmented_zero_bound_equals_base_matrix():

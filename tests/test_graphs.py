@@ -80,7 +80,7 @@ def test_exponential_graph_four_nodes_hops_one_and_two():
 def test_exponential_graph_sixteen_nodes_out_degree_four():
     g = generate_exponential_graph(16)
     for i in range(16):
-        outs = g.out_neighbors(i)
+        outs = g.dst[g.src == i].tolist()
         assert len(outs) == 4
         assert set(outs) == {(i + h) % 16 for h in (1, 2, 4, 8)}
     assert is_strongly_connected(g)
@@ -94,6 +94,28 @@ def test_strong_connectivity_on_known_graphs():
         5, frozenset((i, j) for i in range(5) for j in range(5) if i != j)
     )
     assert is_strongly_connected(complete5)
+
+
+def test_edge_arrays_follow_sorted_edges(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("2 0\n0 2\n1 1\n0 1\n")
+    for g in (
+        generate_erdos_renyi(12, 0.3, seed=4),
+        generate_erdos_renyi(9, 0.2, seed=4, require_strong=False),
+        generate_exponential_graph(13),
+        load_edge_list(path),
+        DirectedGraph(3, frozenset()),
+    ):
+        assert g.pairs == tuple(sorted(g.edges))
+        assert list(zip(g.src.tolist(), g.dst.tolist())) == sorted(g.edges)
+
+
+def test_out_of_range_edge_error_names_the_smallest_edge():
+    edges = frozenset({(5, 0), (2, 9), (1, 3), (0, 1), (-1, 2), (3, 1)})
+    with pytest.raises(ValueError, match=r"^edge \(-1, 2\) out of range for n=3$"):
+        DirectedGraph(3, edges)
+    with pytest.raises(ValueError, match=r"^edge \(1, 3\) out of range for n=3$"):
+        DirectedGraph(3, edges - {(-1, 2)})
 
 
 def test_strong_connectivity_matches_brute_force_oracle():

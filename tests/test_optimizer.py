@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import astuple
 
 import numpy as np
@@ -308,6 +309,31 @@ def test_switching_plan_rejects_period_below_one():
             period=0, n=6, p=0.6, graph_seed=13, require_strong=True,
             tau_max=3, delay_mode="uniform-random", delay_seed=14,
         )
+
+
+# sha256 over epochs 0-49 of the benchmark's switching config (n=30, tau_max=5,
+# graph seed 8, delay seed 145): each epoch's C bytes, then repr of its
+# (edge, delay) items in order.  At p=0.25 every first draw is strongly
+# connected, so both settings agree; at p=0.1 45 of the 50 are not.
+SWITCHING_DIGESTS = {
+    (0.25, True): "dcbf13986444dcc403ad64c46e9ad53c2f9632a56672a580351642b75d2335b7",
+    (0.25, False): "dcbf13986444dcc403ad64c46e9ad53c2f9632a56672a580351642b75d2335b7",
+    (0.1, False): "3742400ac82a9b1f8d2f89b7c678bfdae818b41940b7bf2b2eb12fe3cf998821",
+}
+
+
+@pytest.mark.parametrize("p, require_strong", sorted(SWITCHING_DIGESTS))
+def test_switching_streams_keep_their_draws_and_edge_order(p, require_strong):
+    plan = SwitchingPlan(
+        period=2, n=30, p=p, graph_seed=8, require_strong=require_strong,
+        tau_max=5, delay_mode="uniform-random", delay_seed=145,
+    )
+    h = hashlib.sha256()
+    for epoch in range(50):
+        setting = plan.realize(epoch)
+        h.update(setting.weights.entries.tobytes())
+        h.update(repr(list(setting.delays.tau.items())).encode())
+    assert h.hexdigest() == SWITCHING_DIGESTS[p, require_strong]
 
 
 def test_run_switches_topology_on_every_engine():
