@@ -16,61 +16,58 @@ identity block moves in-flight mass one slot closer to delivery.  The matrix
 is column stochastic whenever C is, so total mass is conserved even while
 some of it is in transit.
 
-A `DelayMap` keeps its links and delays as integer arrays `src`, `dst`,
-`delay` beside the `tau` dict, in the dict's order.  `assign_delays` draws
-over a graph's sorted edge arrays, so `tau` lists the links in
-`sorted(g.edges)` order.  `build_delay_slices` checks the map's domain by
+A `DelayMap` is its bound and three integer arrays in a graph's link
+order: link ``src[k] -> dst[k]`` has delay ``delay[k]``.  `assign_delays`
+shares the graph's arrays.  `build_delay_slices` checks the map's domain by
 counting nonzeros, building sets of links only to word its error, and moves
 every weight into its slice with one scatter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
-from .graphs import DirectedGraph, Edge, WeightMatrix, _int_array
+from .graphs import DirectedGraph, Edge, WeightMatrix, _columns, _first_outside, _Links
 
 
-@dataclass(frozen=True)
-class DelayMap:
-    """Fixed integer delay per link, bounded by tau_max; self-loops are 0.
+@dataclass(frozen=True, eq=False)
+class DelayMap(_Links):
+    """Integer delay ``delay[k] <= tau_max`` on each link ``src[k] -> dst[k]``, in
+    link order, and 0 on self-loops; `from_dict` takes a ``{(j, i): delay}`` map."""
 
-    `src`, `dst` and `delay` hold `tau`'s keys and values as integer arrays,
-    in its order.  They are derived from `tau` unless `assign_delays`, which
-    draws over a graph's edge arrays, passes them.
-    """
-
-    tau: dict[Edge, int]
+    src: np.ndarray
+    dst: np.ndarray
+    delay: np.ndarray
     tau_max: int
-    src: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
-    dst: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
-    delay: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.tau_max < 0:
             raise ValueError("tau_max must be >= 0")
-        delays = self.tau.values()
-        if delays and not (0 <= min(delays) and max(delays) <= self.tau_max):
-            (j, i), t = min((e, t) for e, t in self.tau.items() if not 0 <= t <= self.tau_max)
-            raise ValueError(f"delay {t} on ({j}, {i}) outside [0, {self.tau_max}]")
-        if self.src is None:
-            flat = _int_array(chain.from_iterable(self.tau), 2 * len(self.tau))
-            object.__setattr__(self, "src", flat[0::2])
-            object.__setattr__(self, "dst", flat[1::2])
-            object.__setattr__(self, "delay", _int_array(delays, len(delays)))
+        self._store("src", "dst", "delay")
+        src, dst, delay, T = self.src, self.dst, self.delay, self.tau_max
+        k = _first_outside(delay, T + 1)
+        if k < len(delay):
+            raise ValueError(f"delay {delay[k]} on ({src[k]}, {dst[k]}) outside [0, {T}]")
         # a nonzero delay off the links sits on a self-loop
-        if np.count_nonzero(self.delay[self.links]) != np.count_nonzero(self.delay):
+        if np.count_nonzero(delay[self.links]) != np.count_nonzero(delay):
             raise ValueError("self-loop delays must be 0")
 
+    @classmethod
+    def from_dict(cls, tau: Mapping[Edge, int], tau_max: int) -> DelayMap:
+        """The map with delay ``tau[(j, i)]`` on each link, sorted once."""
+        return cls(*_columns([(j, i, t) for (j, i), t in sorted(tau.items())], 3), tau_max)
+
     @cached_property
-    def links(self) -> np.ndarray:
-        """Positions in `src`/`dst`/`delay` of the entries that are not self-loops."""
-        return np.flatnonzero(self.src - self.dst)
+    def tau(self) -> Mapping[Edge, int]:
+        """Read-only ``{(j, i): delay}`` view of the arrays, in their order."""
+        pairs = zip(self.src.tolist(), self.dst.tolist())
+        return MappingProxyType(dict(zip(pairs, self.delay.tolist())))
 
 
 def assign_delays(
@@ -99,8 +96,7 @@ def assign_delays(
         raise ValueError(f"unknown delay mode {mode!r}")
     delay = np.zeros(len(g.src), dtype=np.intp)
     delay[g.links] = draws  # self-loops keep 0
-    tau = dict(zip(g.pairs, delay.tolist()))
-    return DelayMap(tau=tau, tau_max=tau_max, src=g.src, dst=g.dst, delay=delay)
+    return DelayMap(g.src, g.dst, delay, tau_max)
 
 
 @dataclass(frozen=True)
@@ -116,8 +112,8 @@ def build_delay_slices(C: WeightMatrix | np.ndarray, d: DelayMap) -> DelaySlices
 
     Diagonal weights (implicit self-loops) go to slice 0.  The delay map
     domain must cover the off-diagonal sparsity pattern of C: its links are
-    distinct (dict keys), so it does when each lies inside C, each is a
-    nonzero of C, and there are as many as C has off-diagonal nonzeros.
+    distinct, so it does when each lies inside C, each is a nonzero of C,
+    and there are as many as C has off-diagonal nonzeros.
     """
     M = C.entries if isinstance(C, WeightMatrix) else np.asarray(C, dtype=float)
     n = M.shape[0]
@@ -148,18 +144,17 @@ def _domain_error(M: np.ndarray, d: DelayMap) -> ValueError:
 
 @dataclass(eq=False)
 class AugmentedMatrix:
-    """The n(tau_max+1)-dimensional delayed-mixing matrix.  Spectral
-    quantities (its Perron vector and rank-one limit) are computed on demand
-    by the spectral module, not stored here.
+    """The n(tau_max+1)-dimensional delayed-mixing matrix over n nodes.
+    Spectral quantities (its Perron vector and rank-one limit) are computed
+    on demand by the spectral module, not stored here.
     """
 
     entries: np.ndarray
     n: int
-    tau_max: int
 
     @property
     def dim(self) -> int:
-        return self.n * (self.tau_max + 1)
+        return self.entries.shape[0]
 
 
 def build_augmented_matrix(C: WeightMatrix | np.ndarray, d: DelayMap) -> AugmentedMatrix:
@@ -174,14 +169,14 @@ def build_augmented_matrix(C: WeightMatrix | np.ndarray, d: DelayMap) -> Augment
     eye = np.eye(n)
     for r in range(1, T + 1):
         M[(r - 1) * n : r * n, r * n : (r + 1) * n] = eye
-    return AugmentedMatrix(entries=M, n=n, tau_max=T)
+    return AugmentedMatrix(entries=M, n=n)
 
 
 def dump_delay_map(d: DelayMap, path: str | Path) -> None:
     """Write a `# tau_max=<t>` line, then one `j i tau` line per link
     (zero-indexed, sorted)."""
     lines = [f"# tau_max={d.tau_max}"]
-    lines += [f"{j} {i} {d.tau[(j, i)]}" for j, i in sorted(d.tau)]
+    lines += [f"{j} {i} {t}" for (j, i), t in d.tau.items()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -207,6 +202,4 @@ def load_delay_map(path: str | Path) -> DelayMap:
         if (j, i) in tau:
             raise ValueError(f"{path}:{lineno}: link {(j, i)} listed twice")
         tau[j, i] = t
-    if tau_max is None:
-        tau_max = max(tau.values(), default=0)
-    return DelayMap(tau=tau, tau_max=tau_max)
+    return DelayMap.from_dict(tau, max(tau.values(), default=0) if tau_max is None else tau_max)

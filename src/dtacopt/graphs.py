@@ -1,25 +1,21 @@
 """Directed communication graphs and column-stochastic mixing weights.
 
-Edges are ordered pairs ``(j, i)`` meaning node ``j`` sends to node ``i``;
-the weight matrix entry ``C[i, j]`` is the weight the link ``j -> i``
+A graph's links are ordered pairs ``(j, i)`` meaning node ``j`` sends to node
+``i``; the weight matrix entry ``C[i, j]`` is the weight the link ``j -> i``
 carries.  Weights follow the standard push-sum design: node ``j`` splits
 its mass uniformly over itself and its out-neighbors, which makes every
 column sum to one and keeps the diagonal positive.
 
-Every graph also holds its edges in the order of `sorted(edges)`, built
-once: as `pairs`, a tuple of the set's own edge tuples (`delays.assign_delays`
-keys its map with them, so map and graph share them), and as two integer
-arrays `src`, `dst`.  The ER sampler takes that order straight from
-`np.nonzero` of its adjacency mask; other graphs sort their edge set once.
-The builders here and in `delays` read the arrays with whole-array
-operations, never the set, and `is_strongly_connected` computes its answer
-once per graph and keeps it, so a sampled graph is not searched again when
-its weights are built.
+A `DirectedGraph` is its node count and two integer arrays: link k is
+``src[k] -> dst[k]``, in strictly increasing ``(src, dst)`` order, which
+`np.nonzero` of the ER sampler's adjacency mask returns and `from_edges`
+sorts into.  The builders read the arrays with whole-array operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -37,49 +33,75 @@ class RetryBudgetError(RuntimeError):
     """No strongly connected sample was found within the retry budget."""
 
 
-def _int_array(values, count: int) -> np.ndarray:
-    """The `count` Python ints of `values` as one integer array."""
+def _columns(rows: list[tuple[int, ...]], width: int) -> list[np.ndarray]:
+    """The `width` columns of `rows`, tuples of Python ints, as integer arrays."""
     try:
-        return np.fromiter(values, np.intp, count)
+        flat = np.fromiter(chain.from_iterable(rows), np.intp, width * len(rows))
     except OverflowError:
         raise ValueError("node index or delay outside the int64 range") from None
+    return [flat[c::width] for c in range(width)]
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
-    """Digraph on nodes ``0..n-1`` with edges stored as (sender, receiver).
+def _first_outside(x: np.ndarray, stop: int = 2**63) -> int:
+    """Position of the first entry of x outside [0, stop), else len(x).  numpy's
+    index check finds out whether there is one without a comparison ufunc,
+    whose code (about 130 KiB resident) a run would load for this alone."""
+    try:
+        np.ravel_multi_index((x,), (min(stop, np.iinfo(np.intp).max),))
+        return len(x)
+    except ValueError:
+        return next((k for k, v in enumerate(x.tolist()) if not 0 <= v < stop), len(x))
 
-    `pairs` lists the same edge tuples in the order of `sorted(edges)`, and
-    `src`/`dst` hold them as two integer arrays in that order; the builders
-    below read these, never the set.  They are derived from `edges` unless a
-    sampler that already has all three in that order, and in range, passes
-    them (`np.nonzero` of an adjacency mask returns that order).
-    """
+
+class _Links:
+    """Base of the link types: links ``src[k] -> dst[k]``, strictly increasing."""
+
+    def _store(self, *names: str) -> None:
+        """Check the per-link arrays `names` (`src`, `dst` first); keep them as `intp`."""
+        arrays = [np.asarray(getattr(self, name)) for name in names]
+        for name, a in zip(names, arrays):
+            if a.ndim != 1 or a.shape != arrays[0].shape or (a.size and a.dtype.kind not in "iu"):
+                raise ValueError("link arrays must be 1-D integer arrays of equal length")
+            object.__setattr__(self, name, a.astype(np.intp, copy=False))
+        src, dst = self.src, self.dst
+        # in order: senders never fall, and under one sender receivers rise
+        rise, step = src[1:] - src[:-1], dst[1:] - dst[:-1] - 1
+        step[np.flatnonzero(rise)] = 0
+        k = min(_first_outside(rise), _first_outside(step))
+        if k < len(rise):
+            (j0, i0), (j, i) = (src[k], dst[k]), (src[k + 1], dst[k + 1])
+            raise ValueError(f"link ({j}, {i}) after ({j0}, {i0}) is out of order")
+
+    @cached_property
+    def links(self) -> np.ndarray:
+        """Positions in the link arrays of the links that are not self-loops."""
+        return np.flatnonzero(self.src - self.dst)
+
+
+@dataclass(frozen=True, eq=False)
+class DirectedGraph(_Links):
+    """Digraph on nodes ``0..n-1`` with links ``src[k] -> dst[k]`` in strictly
+    increasing ``(src, dst)`` order; `from_edges` takes ``(j, i)`` pairs."""
 
     n: int
-    edges: frozenset[Edge]
-    pairs: tuple[Edge, ...] = field(default=None, kw_only=True, repr=False, compare=False)
-    src: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
-    dst: np.ndarray = field(default=None, kw_only=True, repr=False, compare=False)
+    src: np.ndarray
+    dst: np.ndarray
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("graph needs at least one node")
-        if self.pairs is None:
-            pairs = tuple(sorted(self.edges))
-            flat = list(chain.from_iterable(pairs))
-            if flat and not (0 <= min(flat) and max(flat) < self.n):
-                j, i = next(e for e in pairs if not (0 <= min(e) and max(e) < self.n))
-                raise ValueError(f"edge ({j}, {i}) out of range for n={self.n}")
-            flat = _int_array(flat, len(flat))
-            object.__setattr__(self, "pairs", pairs)
-            object.__setattr__(self, "src", flat[0::2])
-            object.__setattr__(self, "dst", flat[1::2])
+        self._store("src", "dst")
+        k = min(_first_outside(self.src, self.n), _first_outside(self.dst, self.n))
+        if k < len(self.src):
+            raise ValueError(f"edge ({self.src[k]}, {self.dst[k]}) out of range for n={self.n}")
 
-    @cached_property
-    def links(self) -> np.ndarray:
-        """Positions in `src`/`dst` of the edges that are not self-loops."""
-        return np.flatnonzero(self.src - self.dst)
+    @classmethod
+    def from_edges(cls, edges: Iterable[Edge]) -> DirectedGraph:
+        """The graph of the links ``(j, i)`` in `edges` (a repeat counts once),
+        sorted once, on nodes 0 to the largest index listed (one if none is)."""
+        pairs = sorted(set(edges))
+        n = 1 + max(max(j, i) for j, i in pairs) if pairs else 1
+        return cls(n, *_columns(pairs, 2))
 
     @cached_property
     def _strongly_connected(self) -> bool:
@@ -105,18 +127,6 @@ class WeightMatrix:
         if np.max(np.abs(colsums - 1.0)) > 1e-12:
             raise ValueError("weight matrix columns must sum to 1 within 1e-12")
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
-def _sample_er(n: int, p: float, rng: np.random.Generator) -> DirectedGraph:
-    mask = rng.random((n, n)) < p
-    np.fill_diagonal(mask, False)
-    senders, receivers = np.nonzero(mask)
-    pairs = tuple(zip(senders.tolist(), receivers.tolist()))
-    return DirectedGraph(n, frozenset(pairs), pairs=pairs, src=senders, dst=receivers)
-
 
 def generate_erdos_renyi(
     n: int,
@@ -139,7 +149,9 @@ def generate_erdos_renyi(
         raise ValueError("need 0 < p <= 1")
     rng = np.random.default_rng(seed)
     for _ in range(ER_MAX_RETRIES):
-        g = _sample_er(n, p, rng)
+        mask = rng.random((n, n)) < p
+        np.fill_diagonal(mask, False)
+        g = DirectedGraph(n, *np.nonzero(mask))
         if not require_strong or is_strongly_connected(g):
             return g
     raise RetryBudgetError(
@@ -152,8 +164,7 @@ def generate_exponential_graph(n: int) -> DirectedGraph:
     if n < 2:
         raise ValueError("need n >= 2")
     hops = [2**j for j in range(int(np.log2(n - 1)) + 1)] if n > 2 else [1]
-    edges = frozenset((i, (i + h) % n) for i in range(n) for h in hops)
-    return DirectedGraph(n, edges)
+    return DirectedGraph.from_edges((i, (i + h) % n) for i in range(n) for h in hops)
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
@@ -212,7 +223,7 @@ def build_column_stochastic_weights(
 
 def dump_edge_list(g: DirectedGraph, path: str | Path) -> None:
     """Write one `j i` line per edge (zero-indexed, sorted)."""
-    lines = [f"{j} {i}" for j, i in g.pairs]
+    lines = [f"{j} {i}" for j, i in zip(g.src.tolist(), g.dst.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -228,5 +239,4 @@ def load_edge_list(path: str | Path) -> DirectedGraph:
         except ValueError:
             raise ValueError(f"{path}:{lineno}: expected 'j i', got {raw!r}") from None
         edges.add((j, i))
-    n = 1 + max(max(j, i) for j, i in edges) if edges else 1
-    return DirectedGraph(n, frozenset(edges))
+    return DirectedGraph.from_edges(edges)

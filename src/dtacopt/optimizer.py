@@ -214,8 +214,9 @@ class DtacEngine(_EngineBase):
         if delays.tau_max != self.tau_max:
             raise ValueError("cannot change tau_max mid-run")
         # slices past the largest delay in use carry nothing; with all delays
-        # zero the stacked operator is C itself, as in AddOptEngine
-        top = max(delays.tau.values(), default=0)
+        # zero the stacked operator is C itself, as in AddOptEngine.  (An int
+        # max in place of bincount would load numpy code no other step runs.)
+        top = len(np.bincount(delays.delay, minlength=1)) - 1
         slices = build_delay_slices(C, delays).slices[: top + 1]
         self._mix = _mixer(slices.reshape(-1, self.n), self.W.shape[1])
 

@@ -1,10 +1,11 @@
 """Per-edge reference builders: the loop forms of the graph and delay set-up.
 
 `dtacopt.graphs` and `dtacopt.delays` build the same objects from sorted
-integer edge arrays with whole-array numpy operations.  These loops read
-only `g.n`, `g.edges`, `d.tau` and `d.tau_max`, walk the edges one at a time
-in `sorted(g.edges)` order, and raise where the builders must raise, so
-`test_edge_arrays.py` can require the array forms to match them bit for bit.
+integer edge arrays with whole-array numpy operations.  These loops take
+a graph's links one at a time as Python tuples, `zip(g.src.tolist(),
+g.dst.tolist())` (the graph's sorted order), and a delay map as its `tau`
+dict, and raise where the builders must raise, so `test_edge_arrays.py` can
+require the array forms to match them bit for bit.
 """
 
 from __future__ import annotations
@@ -12,9 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 
+def edges(g) -> list[tuple[int, int]]:
+    """g's links as (sender, receiver) tuples, one at a time."""
+    return list(zip(g.src.tolist(), g.dst.tolist()))
+
+
 def _adjacency(g, reverse: bool = False) -> list[list[int]]:
     lists: list[list[int]] = [[] for _ in range(g.n)]
-    for j, i in sorted(g.edges):
+    for j, i in edges(g):
         if reverse:
             lists[i].append(j)
         else:
@@ -64,14 +70,14 @@ def delay_draw(g, tau_max: int, mode: str, seed=0) -> dict:
     `integers(0, tau_max + 1, size=|E|)` call; self-loops get 0."""
     if tau_max < 0:
         raise ValueError("tau_max must be >= 0")
-    edges = sorted(g.edges)
+    links = edges(g)
     if mode == "zero" or tau_max == 0:
-        return {e: 0 for e in edges}
+        return {e: 0 for e in links}
     if mode == "homogeneous-max":
-        return {(j, i): (0 if j == i else tau_max) for j, i in edges}
+        return {(j, i): (0 if j == i else tau_max) for j, i in links}
     if mode == "uniform-random":
-        draws = np.random.default_rng(seed).integers(0, tau_max + 1, size=len(edges))
-        return {(j, i): (0 if j == i else int(t)) for (j, i), t in zip(edges, draws)}
+        draws = np.random.default_rng(seed).integers(0, tau_max + 1, size=len(links))
+        return {(j, i): (0 if j == i else int(t)) for (j, i), t in zip(links, draws)}
     raise ValueError(f"unknown delay mode {mode!r}")
 
 

@@ -248,9 +248,8 @@ def test_criterion_07_spectral_radius_bound():
         M *= target / rho
         tau = (1, 2, 5)[checked % 3 if checked % 2 else (checked // 3) % 3]
         edges = {(j, i) for i, j in zip(*np.nonzero(M)) if i != j}
-        d = delays.DelayMap(
-            tau={e: int(rng.integers(0, tau + 1)) for e in sorted(edges)},
-            tau_max=tau,
+        d = delays.DelayMap.from_dict(
+            {e: int(rng.integers(0, tau + 1)) for e in sorted(edges)}, tau
         )
         ok = ok and spectral.verify_spectral_bound(M, d)
         checked += 1
@@ -261,9 +260,8 @@ def test_criterion_07_spectral_radius_bound():
         M = M / M.sum(axis=0)
         tau = int(rng.choice([1, 2, 5]))
         edges = {(j, i) for i, j in zip(*np.nonzero(M)) if i != j}
-        d = delays.DelayMap(
-            tau={e: int(rng.integers(0, tau + 1)) for e in sorted(edges)},
-            tau_max=tau,
+        d = delays.DelayMap.from_dict(
+            {e: int(rng.integers(0, tau + 1)) for e in sorted(edges)}, tau
         )
         aug = delays.build_augmented_matrix(M, d)
         stochastic_ok = stochastic_ok and abs(

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 
@@ -271,6 +272,43 @@ def test_non_integer_field_in_an_input_file_names_its_line(
     code = main(["spectral", option, str(path)])
     assert code == 1
     assert capsys.readouterr().err == f"config error: {path}:{expected}\n"
+
+
+@pytest.mark.parametrize(
+    "graph, delays, expected",
+    [("-1 2\n0 1\n", None, "edge (-1, 2) out of range for n=3"),
+     ("0 1\n1 0\n", "# tau_max=2\n1 0 0\n0 1 3\n", "delay 3 on (0, 1) outside [0, 2]"),
+     ("0 1\n1 0\n", "# tau_max=2\n0 0 1\n0 1 0\n1 0 0\n", "self-loop delays must be 0")],
+    ids=["negative-node", "delay-above-bound", "delayed-self-loop"],
+)
+def test_malformed_link_file_is_a_config_error(tmp_path, capsys, graph, delays, expected):
+    args = ["spectral", "--graph-file", str(tmp_path / "g.txt")]
+    (tmp_path / "g.txt").write_text(graph)
+    if delays is not None:
+        (tmp_path / "d.txt").write_text(delays)
+        args += ["--delay-file", str(tmp_path / "d.txt")]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+
+
+def test_package_loads_no_module_beyond_numpy_and_the_standard_library():
+    # modules the interpreter loaded before the import (site hooks) do not
+    # count; numpy's compiled extensions register Cython's runtime modules
+    script = (
+        "import contextlib, io, sys\n"
+        "before = {m.partition('.')[0] for m in sys.modules}\n"
+        "import dtacopt, dtacopt.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert dtacopt.cli.main(['selftest']) == 0\n"
+        "print(sorted({m.partition('.')[0] for m in sys.modules} - before))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    allowed = set(sys.stdlib_module_names) | {"numpy", "dtacopt", "cython_runtime"}
+    loaded = ast.literal_eval(proc.stdout)
+    assert "numpy" in loaded and "dtacopt" in loaded
+    assert [m for m in loaded if m not in allowed and not m.startswith("_cython_")] == []
 
 
 @pytest.mark.parametrize("command", ["spectral", "check-bound"])

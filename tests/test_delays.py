@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -17,30 +19,61 @@ from dtacopt.graphs import (
 
 
 def cycle(n: int) -> DirectedGraph:
-    return DirectedGraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+    return DirectedGraph.from_edges((i, (i + 1) % n) for i in range(n))
 
 
 def two_node_setup():
     """The worked 2-node example: delay 1 on 1->0, delay 0 on 0->1."""
     g = generate_erdos_renyi(2, 1.0, seed=0)
     C = build_column_stochastic_weights(g)
-    d = DelayMap(tau={(1, 0): 1, (0, 1): 0}, tau_max=1)
+    d = DelayMap.from_dict({(1, 0): 1, (0, 1): 0}, tau_max=1)
     return g, C, d
 
 
 def test_delay_map_validation():
     with pytest.raises(ValueError):
-        DelayMap(tau={(0, 1): 3}, tau_max=2)
+        DelayMap.from_dict({(0, 1): 3}, tau_max=2)
     with pytest.raises(ValueError):
-        DelayMap(tau={(0, 0): 1}, tau_max=2)
+        DelayMap.from_dict({(0, 0): 1}, tau_max=2)
     with pytest.raises(ValueError):
-        DelayMap(tau={}, tau_max=-1)
+        DelayMap.from_dict({}, tau_max=-1)
+
+
+def test_delay_map_fields_are_its_arrays_and_bound():
+    assert [f.name for f in fields(DelayMap)] == ["src", "dst", "delay", "tau_max"]
+    d = DelayMap.from_dict({(1, 0): 2, (0, 1): 0, (1, 1): 0}, tau_max=2)
+    assert (d.src.tolist(), d.dst.tolist(), d.delay.tolist()) == ([0, 1, 1], [1, 0, 1], [0, 2, 0])
+    assert list(d.tau.items()) == [((0, 1), 0), ((1, 0), 2), ((1, 1), 0)]
+    with pytest.raises(TypeError):
+        d.tau[0, 1] = 1  # a read-only view of the arrays
+    assert d != DelayMap(d.src, d.dst, d.delay, d.tau_max)  # compared by identity
+
+
+@pytest.mark.parametrize(
+    "src, dst, delay, message",
+    [
+        ([1, 0], [0, 1], [0, 0], r"^link \(0, 1\) after \(1, 0\) is out of order$"),
+        ([0, 0], [1, 1], [0, 1], r"^link \(0, 1\) after \(0, 1\) is out of order$"),
+        ([0, 1], [1, 0], [0], r"^link arrays must be 1-D integer arrays of equal length$"),
+        ([0, 1], [1], [0, 0], r"^link arrays must be 1-D integer arrays of equal length$"),
+        ([0, 1, 2], [1, 2, 0], [0, 3, 4], r"^delay 3 on \(1, 2\) outside \[0, 2\]$"),
+        ([0, 1, 2], [1, 2, 0], [0, 2, -1], r"^delay -1 on \(2, 0\) outside \[0, 2\]$"),
+        ([0, 0, 1], [0, 1, 0], [1, 0, 0], r"^self-loop delays must be 0$"),
+        ([[0, 1]], [[1, 0]], [[0, 0]], r"^link arrays must be 1-D integer arrays of equal length$"),
+        ([0.0, 1.0], [1, 0], [0, 0], r"^link arrays must be 1-D integer arrays of equal length$"),
+    ],
+    ids=["unsorted", "repeated", "short-delay", "short-dst", "delay-above-bound",
+         "negative-delay", "delayed-self-loop", "two-dimensional", "float-sender"],
+)
+def test_delay_map_rejects_malformed_arrays(src, dst, delay, message):
+    with pytest.raises(ValueError, match=message):
+        DelayMap(src, dst, delay, 2)
 
 
 def test_delay_bound_error_names_the_smallest_link():
     tau = {(3, 4): 9, (0, 2): 0, (1, 2): -1, (0, 1): 7}
     with pytest.raises(ValueError, match=r"^delay 7 on \(0, 1\) outside \[0, 5\]$"):
-        DelayMap(tau=tau, tau_max=5)
+        DelayMap.from_dict(tau, tau_max=5)
 
 
 def test_assign_delays_zero_bound_forces_zero():
@@ -59,17 +92,10 @@ def test_assign_delays_uniform_range_and_determinism():
     g = generate_erdos_renyi(10, 0.5, seed=7)
     d1 = assign_delays(g, 5, "uniform-random", seed=7)
     d2 = assign_delays(g, 5, "uniform-random", seed=7)
-    assert d1.tau == d2.tau
-    assert set(d1.tau) == g.edges
+    assert np.array_equal(d1.delay, d2.delay)
+    assert d1.src is g.src and d1.dst is g.dst  # the graph's arrays, shared
     assert all(0 <= t <= 5 for t in d1.tau.values())
     assert len(set(d1.tau.values())) > 1
-
-
-def test_delay_map_keys_are_the_graph_edge_tuples():
-    # sharing them, not copying, keeps a large map's set-up memory down
-    for g in (generate_erdos_renyi(12, 0.4, seed=5), cycle(300)):
-        d = assign_delays(g, 3, "uniform-random", seed=1)
-        assert all(key is edge for key, edge in zip(d.tau, g.pairs, strict=True))
 
 
 def test_assign_delays_rejects_unknown_mode():
@@ -118,7 +144,7 @@ def test_slices_sum_back_exactly():
 def test_slices_reject_domain_mismatch():
     g = cycle(3)
     C = build_column_stochastic_weights(g)
-    bad = DelayMap(tau={(0, 1): 0, (1, 2): 1}, tau_max=1)  # misses (2, 0)
+    bad = DelayMap.from_dict({(0, 1): 0, (1, 2): 1}, tau_max=1)  # misses (2, 0)
     with pytest.raises(ValueError):
         build_delay_slices(C, bad)
 
@@ -129,7 +155,7 @@ def test_slices_reject_domain_mismatch():
 )
 def test_slices_reject_a_link_outside_the_matrix(link):
     C = build_column_stochastic_weights(cycle(3))
-    d = DelayMap(tau={(0, 1): 0, (1, 2): 1, (2, 0): 1, link: 1}, tau_max=1)
+    d = DelayMap.from_dict({(0, 1): 0, (1, 2): 1, (2, 0): 1, link: 1}, tau_max=1)
     with pytest.raises(ValueError, match=r"mapped non-links \[\(" + ", ".join(map(str, link))):
         build_delay_slices(C, d)
 
@@ -189,6 +215,8 @@ def test_delay_map_round_trip(tmp_path):
     assert path.read_text().startswith("# tau_max=4\n")
     d2 = load_delay_map(path)
     assert d2.tau == d.tau
+    for name in ("src", "dst", "delay"):
+        assert np.array_equal(getattr(d2, name), getattr(d, name))
     assert d2.tau_max == 4
 
 
@@ -199,7 +227,7 @@ def test_delay_file_keeps_a_bound_above_its_largest_delay(tmp_path):
     dump_delay_map(d, path)
     assert load_delay_map(path).tau_max == 5
     # a hand-written file without the bound line is bounded by its largest delay
-    path.write_text("".join(f"{j} {i} 2\n" for j, i in sorted(g.edges)))
+    path.write_text("".join(f"{j} {i} 2\n" for j, i in zip(g.src.tolist(), g.dst.tolist())))
     assert load_delay_map(path).tau_max == 2
     path.write_text("# tau_max=five\n")
     with pytest.raises(ValueError, match="delays.txt:1: expected '# tau_max=<t>'"):

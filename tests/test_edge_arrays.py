@@ -24,7 +24,7 @@ def digraphs(draw) -> DirectedGraph:
     mask = rng.random((n, n)) < p
     if draw(st.booleans()):
         np.fill_diagonal(mask, False)
-    return DirectedGraph(n, frozenset(zip(*(a.tolist() for a in np.nonzero(mask)))))
+    return DirectedGraph(n, *np.nonzero(mask))
 
 
 def outcome(fn, *args):
@@ -95,6 +95,6 @@ def test_slices_match_the_per_link_loop(g, tau_max, mode, seed, damage):
         tau[0, g.n] = 0
     elif damage == "negative":
         tau[-1, 0] = 0
-    d = DelayMap(tau=tau, tau_max=tau_max)
+    d = DelayMap.from_dict(tau, tau_max)
     got = outcome(lambda: build_delay_slices(C, d).slices)
     assert_same(got, outcome(per_edge.delay_slices, C, tau, tau_max))

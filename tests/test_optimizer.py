@@ -35,7 +35,7 @@ def make_setting(n, tau, gseed, dseed, p_edge=0.6, mode="uniform-random"):
 
 def make_circulant_setting(n, tau, dseed, hops=(1, 7)):
     """A sparse strongly connected setting: node i sends to i + h (mod n)."""
-    g = graphs.DirectedGraph(n, frozenset((i, (i + h) % n) for i in range(n) for h in hops))
+    g = graphs.DirectedGraph.from_edges((i, (i + h) % n) for i in range(n) for h in hops)
     C = graphs.build_column_stochastic_weights(g)
     d = delays.assign_delays(g, tau, "uniform-random", seed=dseed)
     return StaticSetting(weights=C, delays=d)
@@ -81,7 +81,7 @@ def test_in_transit_buffer_accumulates_same_round():
 def test_single_node_reduces_to_gradient_descent():
     prob = costs.make_quadratic(1, 3, 2)
     C = graphs.WeightMatrix(np.array([[1.0]]))
-    d = delays.DelayMap(tau={(0, 0): 0}, tau_max=0)
+    d = delays.DelayMap([0], [0], [0], tau_max=0)
     W0 = init_states(prob, seed=3)
     engine = DtacEngine(prob, W0, C, d, alpha=0.05)
     x = W0[0, :3].copy()
@@ -217,7 +217,7 @@ def test_mixer_matches_the_dense_product(case):
 def test_two_node_quadratic_matches_oracle_tightly():
     g = graphs.generate_erdos_renyi(2, 1.0, seed=0)
     C = graphs.build_column_stochastic_weights(g)
-    d = delays.DelayMap(tau={(1, 0): 1, (0, 1): 0}, tau_max=1)
+    d = delays.DelayMap.from_dict({(1, 0): 1, (0, 1): 0}, tau_max=1)
     prob = costs.make_quadratic(2, 2, 3)
     e1 = DtacEngine(prob, init_states(prob, 5), C, d, 0.01)
     e2 = AugmentedEngine(prob, init_states(prob, 5), C, d, 0.01)

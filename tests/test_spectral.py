@@ -27,13 +27,12 @@ from dtacopt.spectral import (
 
 
 def cycle(n: int) -> DirectedGraph:
-    return DirectedGraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+    return DirectedGraph.from_edges((i, (i + 1) % n) for i in range(n))
 
 
 def random_delay_map(pattern_edges, tau_max, rng) -> DelayMap:
-    return DelayMap(
-        tau={e: int(rng.integers(0, tau_max + 1)) for e in sorted(pattern_edges)},
-        tau_max=tau_max,
+    return DelayMap.from_dict(
+        {e: int(rng.integers(0, tau_max + 1)) for e in sorted(pattern_edges)}, tau_max
     )
 
 
@@ -126,7 +125,7 @@ def test_perron_vector_matches_power_and_shift_register_oracles(n, tau_max, mode
 def test_perron_vector_nonnegative_with_dead_slots_zero():
     g = cycle(3)
     C = build_column_stochastic_weights(g)
-    d = DelayMap(tau={(0, 1): 0, (1, 2): 2, (2, 0): 1}, tau_max=2)
+    d = DelayMap.from_dict({(0, 1): 0, (1, 2): 2, (2, 0): 1}, tau_max=2)
     aug = build_augmented_matrix(C, d)
     pi = perron_vector(aug)
     assert np.all(pi >= -1e-15)
