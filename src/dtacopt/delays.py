@@ -146,7 +146,8 @@ def _domain_error(M: np.ndarray, d: DelayMap) -> ValueError:
 class AugmentedMatrix:
     """The n(tau_max+1)-dimensional delayed-mixing matrix over n nodes.
     Spectral quantities (its Perron vector and rank-one limit) are computed
-    on demand by the spectral module, not stored here.
+    on demand by the spectral module, not stored here; it reads the slices
+    C_0..C_tau_max back from the first block column, ``entries[:, :n]``.
     """
 
     entries: np.ndarray
@@ -161,7 +162,8 @@ def build_augmented_matrix(C: WeightMatrix | np.ndarray, d: DelayMap) -> Augment
     """Slice C by the delay map and place slice r in block (r, 0) and
     identities on the block superdiagonal, whatever C sums to.  Column
     stochastic when C is; column sums are checked where a matrix enters
-    (`WeightMatrix`, `spectral.perron_vector`), not here."""
+    (`WeightMatrix`; `spectral.perron_vector`, which checks an
+    augmentation's through C, the sum of its slices), not here."""
     S = build_delay_slices(C, d).slices
     T, n = d.tau_max, S.shape[1]
     M = np.zeros((n * (T + 1), n * (T + 1)))

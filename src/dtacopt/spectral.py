@@ -5,10 +5,15 @@ This module certifies the quantities the convergence argument runs on:
 * the spectral-radius relation between a matrix and its delay augmentation,
   rho(aug(A)) <= rho(A)^(1/(1+tau_max)) for substochastic A (equality at 1
   for column-stochastic A);
-* the rank-one limit pi 1^T of the augmented matrix, with its Perron vector
-  pi obtained by one linear solve (no power iteration);
+* the rank-one limit pi 1^T of the augmented matrix.  Its Perron vector pi
+  comes from the shift register: the live block is the Perron vector of C
+  (one n x n linear solve) and each in-flight block is a tail sum of the
+  delay slices applied to it, so no N x N system is solved;
 * the contraction factor sigma = rho(Cbar - Cbar_inf), the asymptotic
-  per-step rate at which delayed mixing forgets disagreement.  The induced
+  per-step rate at which delayed mixing forgets disagreement.  Deflating
+  the Perron pair replaces the eigenvalue 1 by 0 and keeps the rest of the
+  spectrum, so one eigendecomposition of Cbar gives both rho(Cbar) and
+  sigma, and no N x N limit is formed.  The induced
   2-norm of the same difference is also reported but is >= 1 for every
   delayed instance: a zero-sum pair of in-flight buffer coordinates moves
   through the shift register isometrically, so no single-step norm
@@ -19,8 +24,10 @@ This module certifies the quantities the convergence argument runs on:
 
 Trajectory-dependent constants (the sup-norms of the weight diagonal and its
 inverse, and the geometric envelope of its convergence) are measured from a
-pilot run of the weight recursion rather than bounded a priori.  Every
-augmentation comes from `delays.build_augmented_matrix`.
+pilot run of the weight recursion rather than bounded a priori; each of its
+rounds applies Cbar through its first block column and a shift, in O(N n)
+work rather than N^2.  Every augmentation comes from
+`delays.build_augmented_matrix`.
 """
 
 from __future__ import annotations
@@ -51,21 +58,39 @@ def _minus_identity(M: np.ndarray) -> np.ndarray:
     return K
 
 
+def _check_column_stochastic(A: np.ndarray) -> None:
+    if np.max(np.abs(A.sum(axis=0) - 1.0)) > 1e-12:
+        raise ValueError("Perron vector needs a column-stochastic matrix")
+
+
 def perron_vector(M: AugmentedMatrix | np.ndarray) -> np.ndarray:
     """Right Perron vector pi of a column-stochastic matrix: M pi = pi,
-    1^T pi = 1, by one linear solve of (M - I) with its last row set to ones
-    against e_N.
+    1^T pi = 1.
+
+    For an `ndarray`, one linear solve of (M - I) with its last row set to
+    ones against e_N.  For an `AugmentedMatrix`, the shift-register fixed
+    point: the live block is v_0 = perron_vector(C), with C the sum of the
+    slices C_0..C_T in the first block column, and in-flight block r is the
+    tail sum (C_r + ... + C_T) v_0; the whole is scaled to sum 1.  That is
+    one n x n solve and O(N n) work, with no N x N system.
 
     Needs a single recurrent class, which every strongly connected weight
     design and its delay augmentation have; entries on dead slots are 0.
-    Raises ValueError when the columns do not sum to 1 within 1e-12, and
-    numpy's LinAlgError (a ValueError) when the system is singular.
+    Raises ValueError when the columns (of C, for an augmentation) do not
+    sum to 1 within 1e-12, and numpy's LinAlgError (a ValueError) when the
+    system is singular.
     """
-    A = M.entries if isinstance(M, AugmentedMatrix) else np.asarray(M, dtype=float)
+    if isinstance(M, AugmentedMatrix):
+        n = M.n
+        column = M.entries[:, :n]  # C_0; ...; C_T stacked
+        v0 = perron_vector(column.reshape(-1, n, n).sum(axis=0))
+        v = np.cumsum((column @ v0).reshape(-1, n)[::-1], axis=0)[::-1]
+        v[0] = v0
+        return v.ravel() / v.sum()
+    A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("Perron vector needs a square matrix")
-    if np.max(np.abs(A.sum(axis=0) - 1.0)) > 1e-12:
-        raise ValueError("Perron vector needs a column-stochastic matrix")
+    _check_column_stochastic(A)
     K = _minus_identity(A)
     K[-1] = 1.0
     e = np.zeros(K.shape[0])
@@ -82,14 +107,35 @@ def limit_matrix(M: AugmentedMatrix | np.ndarray) -> np.ndarray:
     return np.outer(pi, np.ones(pi.size))
 
 
+def _radius_and_sigma(M: np.ndarray) -> tuple[float, float]:
+    """rho(M) and rho(M - pi 1^T) of a column-stochastic M from one
+    eigendecomposition.  1^T is a left eigenvector for the eigenvalue 1 and
+    1^T pi = 1, so subtracting pi 1^T moves that eigenvalue to 0 and keeps
+    the others (Brauer): sigma is the largest modulus once the eigenvalue
+    nearest 1 is dropped, and 0 when nothing is left (N = 1)."""
+    w = np.linalg.eigvals(M)
+    moduli = np.abs(w)
+    rest = np.delete(moduli, np.argmin(np.abs(w - 1.0)))
+    return float(np.max(moduli)), float(np.max(rest, initial=0.0))
+
+
+def _projector_norm(pi: np.ndarray) -> float:
+    """||I - pi 1^T||_2 for 1^T pi = 1.  I - pi 1^T is a projector, neither 0
+    nor I once N > 1, so it has the norm of pi 1^T, sqrt(N) ||pi||_2; at
+    N = 1 it is 0."""
+    return float(np.sqrt(pi.size) * np.linalg.norm(pi)) if pi.size > 1 else 0.0
+
+
 def contraction_sigma(aug: AugmentedMatrix | np.ndarray) -> float:
     """Contraction factor rho(M - limit(M)): the asymptotic per-step rate at
     which mixing forgets disagreement (the second-largest eigenvalue modulus
     for a stochastic M).  Strictly below 1 for every strongly connected
-    weight design; tends to 1 as the delay bound grows.
+    weight design; tends to 1 as the delay bound grows, and is 1 for a
+    periodic chain.  Raises ValueError unless the columns sum to 1.
     """
     M = aug.entries if isinstance(aug, AugmentedMatrix) else np.asarray(aug, dtype=float)
-    return spectral_radius(M - limit_matrix(aug))
+    _check_column_stochastic(M)
+    return _radius_and_sigma(M)[1]
 
 
 def verify_spectral_bound(C: np.ndarray, d: DelayMap) -> bool:
@@ -126,16 +172,19 @@ class MixingConstants:
 def measure_mixing_constants(aug: AugmentedMatrix) -> MixingConstants:
     """Run the weight recursion from (1_n; 0; ...; 0) for PILOT_HORIZON
     rounds and record sup norms plus a least-squares geometric fit of the
-    decay toward the limit."""
+    decay toward the limit.
+
+    Each round applies the augmentation without its N x N product: block r
+    of Cbar v is C_r v_0 + v_{r+1} (v_{T+1} = 0), one N x n product with the
+    slice column and a shifted add."""
     n = aug.n
-    N = aug.dim
-    y = np.zeros(N)
-    y[:n] = 1.0
+    column = aug.entries[:, :n]  # C_0; ...; C_T stacked
     y_inf = float(n) * perron_vector(aug)
     y_sup = 0.0
     y_inv_sup = 0.0
     gaps: list[float] = []
-    v = y
+    v = np.zeros(aug.dim)
+    v[:n] = 1.0
     for _ in range(PILOT_HORIZON + 1):
         y_sup = max(y_sup, float(np.max(np.abs(v))))
         live_min = float(np.min(v[:n]))
@@ -143,7 +192,9 @@ def measure_mixing_constants(aug: AugmentedMatrix) -> MixingConstants:
             raise RuntimeError("live weight hit zero during the pilot run")
         y_inv_sup = max(y_inv_sup, 1.0 / live_min)
         gaps.append(float(np.max(np.abs(v - y_inf))))
-        v = aug.entries @ v
+        w = column @ v[:n]
+        w[:-n] += v[n:]
+        v = w
     ks = [k for k, gap in enumerate(gaps) if gap > 1e-13]
     if len(ks) >= 2:
         xs = np.array(ks, dtype=float)
@@ -324,21 +375,20 @@ def build_spectral_report(C: np.ndarray, d: DelayMap) -> SpectralReport:
     C = np.asarray(C, dtype=float)
     n = C.shape[0]
     aug = build_augmented_matrix(C, d)
+    pi = perron_vector(aug)  # checks C's column sums first
     rho_C = spectral_radius(C)
-    rho_Cbar = spectral_radius(aug.entries)
+    # the one N x N eigendecomposition
+    rho_Cbar, sigma = _radius_and_sigma(aug.entries)
     bound = rho_C ** (1.0 / (1.0 + d.tau_max))
-    P = limit_matrix(aug)
-    pi = P[:, 0].copy()
     C_inf = limit_matrix(C)
-    sigma = spectral_radius(aug.entries - P)
-    sigma1 = spectral_radius(C - C_inf)
-    sigma_norm2 = float(np.linalg.norm(aug.entries - P, 2))
+    sigma1 = contraction_sigma(C)
+    # aug - pi 1^T, broadcast without forming pi 1^T
+    sigma_norm2 = float(np.linalg.norm(aug.entries - pi[:, None], 2))
     sigma1_norm2 = float(np.linalg.norm(C - C_inf, 2))
     kappa = float(np.linalg.norm(_minus_identity(C), 2))
-    # ||I - X|| = ||X - I||
-    epsilon = float(np.linalg.norm(_minus_identity(C_inf), 2))
+    epsilon = _projector_norm(C_inf[:, 0])
     kappa_aug = float(np.linalg.norm(_minus_identity(aug.entries), 2))
-    epsilon_aug = float(np.linalg.norm(_minus_identity(P), 2))
+    epsilon_aug = _projector_norm(pi)
     mix = measure_mixing_constants(aug)
     return SpectralReport(
         n=n,
