@@ -177,22 +177,29 @@ def test_structured_spectral_paths_match_dense_oracles(n, tau_max, mode, p, seed
         g, C = DirectedGraph.from_edges([]), np.ones((1, 1))
     else:
         g = generate_erdos_renyi(n, p, seed=seed)
-        C = build_column_stochastic_weights(g)
+        C = build_column_stochastic_weights(g).entries
     if mode == "dead-slots":
         d = assign_delays(g, tau_max, "uniform-random", seed=seed)
         d = DelayMap(d.src, d.dst, d.delay, tau_max + 2)
     else:
         d = assign_delays(g, tau_max, mode, seed=seed)
     aug = build_augmented_matrix(C, d)
+    report = build_spectral_report(C, d)
     pi = perron_vector(aug.entries)
     assert np.max(np.abs(perron_vector(aug) - pi)) < 1e-12
-    assert abs(contraction_sigma(aug) - spectral_radius(aug.entries - np.outer(pi, 1))) < 1e-10
-    mix, (dense, gaps) = measure_mixing_constants(aug), _dense_pilot(aug)
-    assert mix.y_sup == pytest.approx(dense.y_sup, rel=1e-12)
-    assert mix.y_inv_sup == pytest.approx(dense.y_inv_sup, rel=1e-12)
-    assert mix.gamma1 == pytest.approx(dense.gamma1, rel=1e-2, abs=1e-15)
-    assert mix.envelope_T == pytest.approx(dense.envelope_T, rel=1e-2, abs=1e-15)
-    envelope = mix.envelope_T * mix.gamma1 ** np.arange(len(gaps))
+    assert np.array_equal(report.perron, perron_vector(aug))
+    sigma = spectral_radius(aug.entries - np.outer(pi, 1))
+    assert abs(contraction_sigma(aug) - sigma) < 1e-10 and abs(report.sigma - sigma) < 1e-10
+    # ||I - pi 1^T||, including N = 1 where the projector is 0
+    for eps, v in ((report.epsilon_aug, pi), (report.epsilon, perron_vector(C))):
+        dense_eps = np.linalg.norm(np.eye(v.size) - np.outer(v, 1), 2)
+        assert eps == pytest.approx(dense_eps, rel=1e-12, abs=1e-15)
+    dense, gaps = _dense_pilot(aug)
+    assert report.y == pytest.approx(dense.y_sup, rel=1e-12)
+    assert report.y_minus == pytest.approx(dense.y_inv_sup, rel=1e-12)
+    assert report.gamma1 == pytest.approx(dense.gamma1, rel=1e-2, abs=1e-15)
+    assert report.envelope_T == pytest.approx(dense.envelope_T, rel=1e-2, abs=1e-15)
+    envelope = report.envelope_T * report.gamma1 ** np.arange(len(gaps))
     assert np.all(gaps <= envelope + 1e-12)
 
 
