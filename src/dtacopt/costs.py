@@ -8,12 +8,14 @@ stacked over the n nodes:
     logistic        features (n, m, p), labels (n, m), lam, scale, bias_ridge
     smoothed SVM    features (n, m, p), labels (n, m), margin_weight, smoothness
 
-and computes all n gradients (`grads(Z)`, one einsum pass) and the network
-objective (`total(z)`, one pass over the flattened data) without a loop over
-nodes.  These are the paths the engines and the metrics run.  The per-node
-models in `locals` (QuadraticCost, ...) are built on views of the stacked
-arrays, so no data is held twice; they are the reference the batched methods
-are tested against, and they seed the initial trackers.
+and nothing per node besides.  It computes all n gradients (`grads(Z)`, one
+einsum pass) and the network objective (`total(z)`, one pass over the
+flattened data) without a loop over nodes; these are the paths the engines,
+the metrics and the oracle run.  The round-0 trackers come from
+`start_grads(Z)`, the same gradient expression over stacked np.matmul
+products: in the protocol agent i seeds its tracker with grad f_i(x_i(0)) as
+it computes it itself, and matmul reproduces that per-node arithmetic bit
+for bit where einsum's order differs in the last bits.
 
 The problem also carries the uniform strong-convexity / gradient-Lipschitz
 constants and the minimizer of F = sum_i f_i, computed by an independent
@@ -22,8 +24,6 @@ accelerated gradient descent on `total_grad` to gradient norm 1e-10.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,179 +44,68 @@ def _log1pexp(t: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class QuadraticCost:
-    """f(z) = 0.5 z'Az + b'z with A symmetric positive definite."""
-
-    A: np.ndarray
-    b: np.ndarray
-    s: float
-    l: float
-
-    @property
-    def dim(self) -> int:
-        return self.b.shape[0]
-
-    def eval(self, z: np.ndarray) -> float:
-        return float(0.5 * z @ self.A @ z + self.b @ z)
-
-    def grad(self, z: np.ndarray) -> np.ndarray:
-        return self.A @ z + self.b
+def _matvec(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row i is M[i] @ V[i], as one matrix-vector product per node."""
+    return np.matmul(M, V[..., None])[..., 0]
 
 
-@dataclass(frozen=True)
-class LeastSquaresCost:
-    """f(z) = 0.5 ||Hz - b||^2 + 0.5 ridge ||z||^2."""
-
-    H: np.ndarray
-    b: np.ndarray
-    ridge: float
-    s: float
-    l: float
-
-    @property
-    def dim(self) -> int:
-        return self.H.shape[1]
-
-    def eval(self, z: np.ndarray) -> float:
-        r = self.H @ z - self.b
-        return float(0.5 * r @ r + 0.5 * self.ridge * z @ z)
-
-    def grad(self, z: np.ndarray) -> np.ndarray:
-        return self.H.T @ (self.H @ z - self.b) + self.ridge * z
+def _matvec_t(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row i is M[i].T @ V[i], as one matrix-vector product per node."""
+    return _matvec(M.transpose(0, 2, 1), V)
 
 
-@dataclass(frozen=True)
-class LogisticCost:
-    """Binary logistic loss over (w, b) with an l2 ridge on w only.
-
-    f(w, b) = scale * sum_j log(1 + exp(-(w'c_j + b) y_j)) + 0.5 lam ||w||^2
-    where scale is 1/m when mean_scaled.  The optional bias_ridge adds
-    0.5 * bias_ridge * b^2 to restore joint strong convexity when needed.
-    """
-
-    features: np.ndarray  # (m, p)
-    labels: np.ndarray  # (m,) in {-1, +1}
-    lam: float
-    mean_scaled: bool = True
-    bias_ridge: float = 0.0
-    s: float = field(init=False)
-    l: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        ones = np.ones((self.features.shape[0], 1))
-        tilde = np.hstack([self.features, ones])
-        gram_top = float(np.linalg.eigvalsh(tilde.T @ tilde)[-1])
-        object.__setattr__(self, "s", self.lam)
-        object.__setattr__(self, "l", self.lam + 0.25 * self._scale * gram_top)
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1] + 1
-
-    @property
-    def _scale(self) -> float:
-        return 1.0 / len(self.labels) if self.mean_scaled else 1.0
-
-    def _margins(self, z: np.ndarray) -> np.ndarray:
-        return self.labels * (self.features @ z[:-1] + z[-1])
-
-    def eval(self, z: np.ndarray) -> float:
-        w = z[:-1]
-        total = self._scale * float(np.sum(_log1pexp(-self._margins(z))))
-        total += 0.5 * self.lam * float(w @ w)
-        if self.bias_ridge:
-            total += 0.5 * self.bias_ridge * float(z[-1] ** 2)
-        return total
-
-    def grad(self, z: np.ndarray) -> np.ndarray:
-        scale = self._scale
-        coeff = -self.labels * _sigmoid(-self._margins(z))  # d loss / d margin-arg
-        g = np.empty(self.dim)
-        g[:-1] = scale * (self.features.T @ coeff) + self.lam * z[:-1]
-        g[-1] = scale * float(np.sum(coeff)) + self.bias_ridge * z[-1]
-        return g
+def _einsum(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row i is M[i] @ V[i], as one einsum pass over all nodes."""
+    return np.einsum("nmp,np->nm", M, V)
 
 
-@dataclass(frozen=True)
-class SmoothSvmCost:
-    """Smoothed hinge SVM over (omega, nu):
+def _einsum_t(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row i is M[i].T @ V[i], as one einsum pass over all nodes."""
+    return np.einsum("nmp,nm->np", M, V)
 
-    f = omega'omega + C_margin * sum_j (1/mu) log(1 + exp(mu * x_j)),
-    x_j = 1 - l_j (omega'chi_j - nu).
-    """
 
-    features: np.ndarray  # (m, p)
-    labels: np.ndarray  # (m,) in {-1, +1}
-    margin_weight: float
-    smoothness: float
-    s: float = field(init=False)
-    l: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        ones = np.ones((self.features.shape[0], 1))
-        tilde = np.hstack([self.features, -ones])
-        gram_top = float(np.linalg.eigvalsh(tilde.T @ tilde)[-1])
-        object.__setattr__(self, "s", 2.0)
-        object.__setattr__(
-            self, "l", 2.0 + self.margin_weight * self.smoothness / 4.0 * gram_top
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1] + 1
-
-    def _slack(self, z: np.ndarray) -> np.ndarray:
-        omega, nu = z[:-1], z[-1]
-        return 1.0 - self.labels * (self.features @ omega - nu)
-
-    def eval(self, z: np.ndarray) -> float:
-        omega = z[:-1]
-        mu = self.smoothness
-        hinge = float(np.sum(_log1pexp(mu * self._slack(z)))) / mu
-        return float(omega @ omega) + self.margin_weight * hinge
-
-    def grad(self, z: np.ndarray) -> np.ndarray:
-        mu = self.smoothness
-        coeff = self.margin_weight * _sigmoid(mu * self._slack(z))  # (m,)
-        g = np.empty(self.dim)
-        g[:-1] = 2.0 * z[:-1] - self.features.T @ (coeff * self.labels)
-        g[-1] = float(np.sum(coeff * self.labels))
-        return g
+def _gram_top(F: np.ndarray, offset: float) -> np.ndarray:
+    """Per node, the largest eigenvalue of the Gram of [F[i] | offset * 1]."""
+    tilde = np.concatenate([F, np.full((*F.shape[:2], 1), offset)], axis=2)
+    return np.linalg.eigvalsh(np.matmul(tilde.transpose(0, 2, 1), tilde))[:, -1]
 
 
 class GlobalProblem:
     """F = sum_i f_i over n nodes, with its centralized optimum.
 
-    A subclass holds one family's data stacked over the nodes and implements
-    the batched `grads` and `total`; `locals` are the per-node models, built
-    on views of that data.  s and l are the uniform (worst-node) constants;
+    A subclass holds one family's data stacked over the nodes and nothing
+    per node besides: its `_grads(Z, mul, mul_t)` writes the family's
+    gradient once, over two routes to the per-node products M[i] @ v and
+    M[i].T @ v.  `grads` takes the einsum route, the fast one the engines
+    and the oracle run.  `start_grads` takes np.matmul, one matrix-vector
+    product per node in agent i's own order of operations, for the round-0
+    trackers grad f_i(x_i(0)); einsum sums in another order, so the two
+    agree to rounding, not bitwise.  s and l are the uniform (worst-node)
+    constants, the min and max of the per-node arrays the factory computes;
     z_star and f_star are set once the centralized oracle has run.
     """
 
     z_star: np.ndarray
     f_star: float
 
-    def __init__(self, locals: list) -> None:
-        self.locals = locals
-        self.s = min(m.s for m in locals)
-        self.l = max(m.l for m in locals)
-
-    @property
-    def n(self) -> int:
-        return len(self.locals)
-
-    @property
-    def dim(self) -> int:
-        return self.locals[0].dim
+    def __init__(self, dim: int, s: np.ndarray, l: np.ndarray) -> None:
+        self.n, self.dim = len(s), dim
+        self.s, self.l = float(s.min()), float(l.max())
 
     def total(self, z: np.ndarray) -> float:
         """F(z) = sum_i f_i(z)."""
         raise NotImplementedError
 
+    def _grads(self, Z: np.ndarray, mul, mul_t) -> np.ndarray:
+        raise NotImplementedError
+
     def grads(self, Z: np.ndarray) -> np.ndarray:
         """Per-node gradients at per-node states: row i is grad f_i(Z[i])."""
-        raise NotImplementedError
+        return self._grads(Z, _einsum, _einsum_t)
+
+    def start_grads(self, Z: np.ndarray) -> np.ndarray:
+        """grads(Z) with each row computed as agent i computes its own."""
+        return self._grads(Z, _matvec, _matvec_t)
 
     def total_grad(self, z: np.ndarray) -> np.ndarray:
         return self.grads(np.broadcast_to(z, (self.n, z.shape[0]))).sum(axis=0)
@@ -231,26 +120,31 @@ class GlobalProblem:
 
 
 class _QuadraticProblem(GlobalProblem):
-    def __init__(self, locals: list, A: np.ndarray, b: np.ndarray) -> None:
-        super().__init__(locals)
+    """f_i(z) = 0.5 z'A_i z + b_i'z with A_i symmetric positive definite."""
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, s: np.ndarray, l: np.ndarray) -> None:
+        super().__init__(b.shape[1], s, l)
         self.A, self.b = A, b  # (n, p, p), (n, p)
         self.A_sum, self.b_sum = A.sum(axis=0), b.sum(axis=0)
 
-    def grads(self, Z: np.ndarray) -> np.ndarray:
-        return np.einsum("npq,nq->np", self.A, Z) + self.b
+    def _grads(self, Z: np.ndarray, mul, mul_t) -> np.ndarray:
+        return mul(self.A, Z) + self.b
 
     def total(self, z: np.ndarray) -> float:
         return float(0.5 * z @ self.A_sum @ z + self.b_sum @ z)
 
 
 class _LeastSquaresProblem(GlobalProblem):
-    def __init__(self, locals: list, H: np.ndarray, b: np.ndarray, ridge: float) -> None:
-        super().__init__(locals)
+    """f_i(z) = 0.5 ||H_i z - b_i||^2 + 0.5 ridge ||z||^2."""
+
+    def __init__(
+        self, H: np.ndarray, b: np.ndarray, ridge: float, s: np.ndarray, l: np.ndarray
+    ) -> None:
+        super().__init__(H.shape[2], s, l)
         self.H, self.b, self.ridge = H, b, ridge  # (n, r, p), (n, r)
 
-    def grads(self, Z: np.ndarray) -> np.ndarray:
-        R = np.einsum("nrp,np->nr", self.H, Z) - self.b
-        return np.einsum("nrp,nr->np", self.H, R) + self.ridge * Z
+    def _grads(self, Z: np.ndarray, mul, mul_t) -> np.ndarray:
+        return mul_t(self.H, mul(self.H, Z) - self.b) + self.ridge * Z
 
     def total(self, z: np.ndarray) -> float:
         r = self.H.reshape(-1, z.shape[0]) @ z - self.b.ravel()
@@ -258,22 +152,27 @@ class _LeastSquaresProblem(GlobalProblem):
 
 
 class _LogisticProblem(GlobalProblem):
+    """Binary logistic loss over (w, b) with an l2 ridge on w only:
+
+    f_i(w, b) = scale * sum_j log(1 + exp(-(w'c_ij + b) y_ij)) + 0.5 lam ||w||^2
+    plus 0.5 * bias_ridge * b^2, which restores joint strong convexity
+    where needed.
+    """
+
     def __init__(
-        self, locals: list, features: np.ndarray, labels: np.ndarray,
-        lam: float, scale: float, bias_ridge: float,
+        self, features: np.ndarray, labels: np.ndarray, lam: float, scale: float,
+        bias_ridge: float, s: np.ndarray, l: np.ndarray,
     ) -> None:
-        super().__init__(locals)
+        super().__init__(features.shape[2] + 1, s, l)
         self.features, self.labels = features, labels  # (n, m, p), (n, m)
         self.lam, self.scale, self.bias_ridge = lam, scale, bias_ridge
 
-    def grads(self, Z: np.ndarray) -> np.ndarray:
+    def _grads(self, Z: np.ndarray, mul, mul_t) -> np.ndarray:
         W, beta = Z[:, :-1], Z[:, -1]
-        margins = self.labels * (
-            np.einsum("nmp,np->nm", self.features, W) + beta[:, None]
-        )
-        coeff = -self.labels * _sigmoid(-margins)
+        margins = self.labels * (mul(self.features, W) + beta[:, None])
+        coeff = -self.labels * _sigmoid(-margins)  # d loss / d margin-arg
         G = np.empty(Z.shape)
-        G[:, :-1] = self.scale * np.einsum("nmp,nm->np", self.features, coeff) + self.lam * W
+        G[:, :-1] = self.scale * mul_t(self.features, coeff) + self.lam * W
         G[:, -1] = self.scale * coeff.sum(axis=1) + self.bias_ridge * beta
         return G
 
@@ -286,22 +185,26 @@ class _LogisticProblem(GlobalProblem):
 
 
 class _SvmProblem(GlobalProblem):
+    """Smoothed hinge SVM over (omega, nu):
+
+    f_i = omega'omega + margin_weight * sum_j (1/mu) log(1 + exp(mu * x_ij)),
+    x_ij = 1 - l_ij (omega'chi_ij - nu).
+    """
+
     def __init__(
-        self, locals: list, features: np.ndarray, labels: np.ndarray,
-        margin_weight: float, smoothness: float,
+        self, features: np.ndarray, labels: np.ndarray, margin_weight: float,
+        smoothness: float, s: np.ndarray, l: np.ndarray,
     ) -> None:
-        super().__init__(locals)
+        super().__init__(features.shape[2] + 1, s, l)
         self.features, self.labels = features, labels  # (n, m, p), (n, m)
         self.margin_weight, self.smoothness = margin_weight, smoothness
 
-    def grads(self, Z: np.ndarray) -> np.ndarray:
+    def _grads(self, Z: np.ndarray, mul, mul_t) -> np.ndarray:
         omega, nu = Z[:, :-1], Z[:, -1]
-        slack = 1.0 - self.labels * (
-            np.einsum("nmp,np->nm", self.features, omega) - nu[:, None]
-        )
+        slack = 1.0 - self.labels * (mul(self.features, omega) - nu[:, None])
         coeff = self.margin_weight * _sigmoid(self.smoothness * slack) * self.labels
         G = np.empty(Z.shape)
-        G[:, :-1] = 2.0 * omega - np.einsum("nmp,nm->np", self.features, coeff)
+        G[:, :-1] = 2.0 * omega - mul_t(self.features, coeff)
         G[:, -1] = coeff.sum(axis=1)
         return G
 
@@ -358,12 +261,12 @@ def make_quadratic(n: int, p: int, seed: int) -> GlobalProblem:
     rng = np.random.default_rng(seed)
     A = np.empty((n, p, p))
     b = np.empty((n, p))
-    models = []
+    s = np.empty(n)
+    l = np.empty(n)
     for i in range(n):
-        A[i], s_i, l_i = _random_spd(p, rng)
+        A[i], s[i], l[i] = _random_spd(p, rng)
         b[i] = rng.standard_normal(p)
-        models.append(QuadraticCost(A=A[i], b=b[i], s=s_i, l=l_i))
-    problem = _QuadraticProblem(models, A=A, b=b)
+    problem = _QuadraticProblem(A, b, s, l)
     return problem._with_optimum(np.linalg.solve(problem.A_sum, -problem.b_sum))
 
 
@@ -378,22 +281,18 @@ def make_least_squares(
     z_true = rng.standard_normal(p)
     H = np.empty((n, rows_per_agent, p))
     b = np.empty((n, rows_per_agent))
-    models = []
-    gram = ridge * n * np.eye(p)
-    rhs = np.zeros(p)
     for i in range(n):
         H[i] = rng.standard_normal((rows_per_agent, p))
         b[i] = H[i] @ z_true + 0.1 * rng.standard_normal(rows_per_agent)
-        eigs = np.linalg.eigvalsh(H[i].T @ H[i] + ridge * np.eye(p))
-        models.append(
-            LeastSquaresCost(H=H[i], b=b[i], ridge=ridge, s=float(eigs[0]), l=float(eigs[-1]))
-        )
-        gram += H[i].T @ H[i]
-        rhs += H[i].T @ b[i]
+    grams = np.matmul(H.transpose(0, 2, 1), H)
+    # summed node by node, in order, as the per-node normal equations add up
+    gram = sum(grams, ridge * n * np.eye(p))
+    rhs = sum(_matvec_t(H, b), np.zeros(p))
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] < 1e-10 * max(1.0, eigs[-1]):
         raise ValueError("stacked system is rank deficient and ridge is 0")
-    problem = _LeastSquaresProblem(models, H=H, b=b, ridge=ridge)
+    local = np.linalg.eigvalsh(grams + ridge * np.eye(p))
+    problem = _LeastSquaresProblem(H, b, ridge, local[:, 0], local[:, -1])
     return problem._with_optimum(np.linalg.solve(gram, rhs))
 
 
@@ -431,18 +330,10 @@ def make_logistic(
     if samples_per_agent < 2:
         raise ValueError("need at least 2 samples per agent to mix labels")
     F, Y = _two_cluster_data(n, p, samples_per_agent, seed, separation)
-    models = [
-        LogisticCost(
-            features=F[i], labels=Y[i], lam=lam, mean_scaled=mean_scaled,
-            bias_ridge=bias_ridge,
-        )
-        for i in range(n)
-    ]
     scale = 1.0 / samples_per_agent if mean_scaled else 1.0
-    problem = _LogisticProblem(
-        models, features=F, labels=Y, lam=lam, scale=scale, bias_ridge=bias_ridge
-    )
-    L = float(sum(m.l for m in models))
+    l = lam + 0.25 * scale * _gram_top(F, 1.0)
+    problem = _LogisticProblem(F, Y, lam, scale, bias_ridge, np.full(n, lam), l)
+    L = float(sum(l))  # in node order, not np.sum's pairwise order
     z_star = nesterov_minimize(problem.total_grad, np.zeros(p + 1), lipschitz=L, tol=1e-10)
     return problem._with_optimum(z_star)
 
@@ -465,17 +356,10 @@ def make_smooth_svm(
     if margin_weight < 0 or smoothness <= 0:
         raise ValueError("need margin_weight >= 0 and smoothness > 0")
     F, Y = _two_cluster_data(n, p, samples_per_agent, seed, separation)
-    models = [
-        SmoothSvmCost(
-            features=F[i], labels=Y[i], margin_weight=margin_weight, smoothness=smoothness
-        )
-        for i in range(n)
-    ]
-    problem = _SvmProblem(
-        models, features=F, labels=Y, margin_weight=margin_weight, smoothness=smoothness
-    )
+    l = 2.0 + margin_weight * smoothness / 4.0 * _gram_top(F, -1.0)
+    problem = _SvmProblem(F, Y, margin_weight, smoothness, np.full(n, 2.0), l)
     if margin_weight == 0.0:
         return problem._with_optimum(np.zeros(p + 1))
-    L = float(sum(m.l for m in models))
+    L = float(sum(l))  # in node order, not np.sum's pairwise order
     z_star = nesterov_minimize(problem.total_grad, np.zeros(p + 1), lipschitz=L, tol=1e-10)
     return problem._with_optimum(z_star)

@@ -66,8 +66,7 @@ def init_states(problem: GlobalProblem, seed: int) -> np.ndarray:
     tracker seeded with the local gradient at z = x / y = x."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((problem.n, problem.dim))
-    G = np.stack([f.grad(x) for f, x in zip(problem.locals, X)])
-    return np.hstack([X, np.ones((problem.n, 1)), G])
+    return np.hstack([X, np.ones((problem.n, 1)), problem.start_grads(X)])
 
 
 class InTransitBuffer:

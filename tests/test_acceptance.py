@@ -14,6 +14,7 @@ import pytest
 from dtacopt import costs, delays, graphs, spectral
 from dtacopt.experiment import compare_engines, execute_run, load_config
 from dtacopt.optimizer import AugmentedEngine, DtacEngine, init_states
+from per_node_costs import per_node_models
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -380,7 +381,7 @@ def test_criterion_10_cost_model_correctness():
     }
     ok = True
     for name, prob in families.items():
-        for model in prob.locals:
+        for model in per_node_models(prob):
             for _ in range(20):
                 z = rng.standard_normal(prob.dim)
                 g = model.grad(z)

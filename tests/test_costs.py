@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,12 +7,14 @@ from hypothesis import strategies as st
 
 from dtacopt.costs import (
     OracleError,
+    _random_spd,
     make_least_squares,
     make_logistic,
     make_quadratic,
     make_smooth_svm,
     nesterov_minimize,
 )
+from per_node_costs import LeastSquaresCost, QuadraticCost, per_node_models
 
 ALL_FACTORIES = [
     lambda: make_quadratic(4, 3, 11),
@@ -36,7 +40,7 @@ def finite_diff_grad(model, z):
 def test_gradients_match_finite_differences(factory):
     prob = factory()
     rng = np.random.default_rng(0)
-    for model in prob.locals:
+    for model in per_node_models(prob):
         for _ in range(20):
             z = rng.standard_normal(prob.dim)
             g = model.grad(z)
@@ -49,7 +53,7 @@ def test_gradients_match_finite_differences(factory):
 def test_midpoint_convexity(factory):
     prob = factory()
     rng = np.random.default_rng(1)
-    for model in prob.locals:
+    for model in per_node_models(prob):
         for _ in range(50):
             a = rng.standard_normal(prob.dim)
             b = rng.standard_normal(prob.dim)
@@ -61,7 +65,7 @@ def test_midpoint_convexity(factory):
 def test_gradient_lipschitz_constant(factory):
     prob = factory()
     rng = np.random.default_rng(2)
-    for model in prob.locals:
+    for model in per_node_models(prob):
         for _ in range(50):
             a = rng.standard_normal(prob.dim)
             b = rng.standard_normal(prob.dim)
@@ -75,10 +79,9 @@ def test_strong_convexity_on_regularized_block(factory):
     coordinates (logistic and svm leave the offset coordinate out)."""
     prob = factory()
     rng = np.random.default_rng(3)
-    offset_free = hasattr(prob.locals[0], "lam") or hasattr(
-        prob.locals[0], "margin_weight"
-    )
-    for model in prob.locals:
+    models = per_node_models(prob)
+    offset_free = hasattr(models[0], "lam") or hasattr(models[0], "margin_weight")
+    for model in models:
         for _ in range(50):
             a = rng.standard_normal(prob.dim)
             b = a.copy()
@@ -99,8 +102,6 @@ def test_global_optimum_is_stationary(factory):
 
 
 def test_quadratic_known_cases():
-    from dtacopt.costs import QuadraticCost
-
     # a single identity quadratic with zero offset has its optimum at 0
     m = QuadraticCost(A=np.eye(3), b=np.zeros(3), s=1.0, l=1.0)
     assert np.allclose(np.linalg.solve(m.A, -m.b), 0.0)
@@ -116,15 +117,12 @@ def test_quadratic_known_cases():
 def test_quadratic_solver_residual_and_eig_range():
     prob = make_quadratic(6, 4, 7)
     assert np.linalg.norm(prob.total_grad(prob.z_star)) < 1e-9
-    for m in prob.locals:
-        eigs = np.linalg.eigvalsh(m.A)
-        assert eigs[0] >= 1.0 - 1e-9 and eigs[-1] <= 10.0 + 1e-9
-        assert m.s == pytest.approx(eigs[0]) and m.l == pytest.approx(eigs[-1])
+    eigs = np.linalg.eigvalsh(prob.A)
+    assert eigs.min() >= 1.0 - 1e-9 and eigs.max() <= 10.0 + 1e-9
+    assert prob.s == pytest.approx(eigs.min()) and prob.l == pytest.approx(eigs.max())
 
 
 def test_least_squares_identity_blocks():
-    from dtacopt.costs import LeastSquaresCost
-
     v = np.array([1.5, -2.0])
     models = [
         LeastSquaresCost(H=np.eye(2), b=v.copy(), ridge=0.0, s=1.0, l=1.0)
@@ -138,8 +136,6 @@ def test_least_squares_identity_blocks():
 
 
 def test_least_squares_hand_normal_equations():
-    from dtacopt.costs import LeastSquaresCost
-
     # two single-row blocks selecting coordinates: optimum is (3, 4)
     m1 = LeastSquaresCost(
         H=np.array([[1.0, 0.0]]), b=np.array([3.0]), ridge=0.0, s=0.0, l=1.0
@@ -205,7 +201,7 @@ def test_svm_separable_data_classifies_training_points():
     prob = make_smooth_svm(2, 1, 30, 10.0, 20.0, 5, separation=6.0)
     omega, nu = prob.z_star[:-1], prob.z_star[-1]
     correct = total = 0
-    for m in prob.locals:
+    for m in per_node_models(prob):
         preds = np.sign(m.features @ omega - nu)
         correct += int(np.sum(preds == m.labels))
         total += len(m.labels)
@@ -226,7 +222,8 @@ def test_nesterov_oracle_caps_iterations():
 # -- batched paths against the per-node models --------------------------------
 # grads/total/total_grad sum in another order than the per-node loop, so they
 # agree to rounding, not bitwise: 1e-12 relative to the result's scale (plus
-# an absolute 1e-12 where the result itself is near 0).
+# an absolute 1e-12 where the result itself is near 0).  start_grads and the
+# constants s, l are computed in the per-node order and must match bitwise.
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 NODES = st.integers(1, 6)
 DIMS = st.integers(1, 4)
@@ -240,19 +237,37 @@ def _assert_close(got, ref):
     assert np.max(np.abs(got - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
 
 
-def _check_batched(prob, seed):
+def _check_batched(prob, seed, models=None):
+    models = per_node_models(prob) if models is None else models
     rng = np.random.default_rng(seed)
     Z = 2.0 * rng.standard_normal((prob.n, prob.dim))
-    _assert_close(prob.grads(Z), np.stack([m.grad(z) for m, z in zip(prob.locals, Z)]))
+    ref = np.stack([m.grad(z) for m, z in zip(models, Z)])
+    _assert_close(prob.grads(Z), ref)
+    assert np.array_equal(prob.start_grads(Z), ref)
+    assert type(prob.s) is float and type(prob.l) is float
+    assert prob.s == min(m.s for m in models) and prob.l == max(m.l for m in models)
     z = Z[0]
-    _assert_close(prob.total(z), sum(m.eval(z) for m in prob.locals))
-    _assert_close(prob.total_grad(z), sum(m.grad(z) for m in prob.locals))
+    _assert_close(prob.total(z), sum(m.eval(z) for m in models))
+    _assert_close(prob.total_grad(z), sum(m.grad(z) for m in models))
+
+
+def _drawn_quadratic_models(prob, seed):
+    """The quadratic's per-node models with s_i, l_i set to the spectrum the
+    factory drew for A_i (replayed from its seed), not recovered by eigvalsh."""
+    rng = np.random.default_rng(seed)
+    models = []
+    for m in per_node_models(prob):
+        _, s_i, l_i = _random_spd(prob.dim, rng)
+        rng.standard_normal(prob.dim)
+        models.append(dataclasses.replace(m, s=s_i, l=l_i))
+    return models
 
 
 @PROPERTY
 @given(n=NODES, p=DIMS, seed=SEEDS)
 def test_batched_quadratic_matches_per_node_models(n, p, seed):
-    _check_batched(make_quadratic(n, p, seed), seed)
+    prob = make_quadratic(n, p, seed)
+    _check_batched(prob, seed, _drawn_quadratic_models(prob, seed))
 
 
 @PROPERTY
@@ -286,8 +301,11 @@ def test_batched_svm_matches_per_node_models(n, p, m, margin_weight, smoothness,
 
 @pytest.mark.parametrize("factory", ALL_FACTORIES)
 def test_per_node_models_are_views_of_the_stacked_data(factory):
+    """The problem holds only stacked arrays and scalars, no per-node
+    objects, and the reference models read that very data."""
     prob = factory()
+    assert all(isinstance(v, (np.ndarray, float, int)) for v in vars(prob).values())
     stacked = [v for v in vars(prob).values() if isinstance(v, np.ndarray) and v.ndim >= 2]
-    for model in prob.locals:
+    for model in per_node_models(prob):
         arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
         assert arrays and all(any(a.base is s for s in stacked) for a in arrays)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dtacopt import costs
 from dtacopt.experiment import (
     ConfigError,
     apply_overrides,
@@ -230,17 +231,8 @@ def test_compare_engines_divergent_column_is_marked(tmp_path):
 
 
 def test_build_problem_selects_cost_family():
-    assert build_problem(fast_config()).locals[0].__class__.__name__ == "QuadraticCost"
-    assert (
-        build_problem(fast_config(**{"cost.type": "least_squares", "cost.rows_per_agent": 4}))
-        .locals[0].__class__.__name__
-        == "LeastSquaresCost"
-    )
-    assert (
-        build_problem(fast_config(**{"cost.type": "logistic"})).locals[0].__class__.__name__
-        == "LogisticCost"
-    )
-    assert (
-        build_problem(fast_config(**{"cost.type": "svm"})).locals[0].__class__.__name__
-        == "SmoothSvmCost"
-    )
+    assert type(build_problem(fast_config())) is costs._QuadraticProblem
+    least_squares = fast_config(**{"cost.type": "least_squares", "cost.rows_per_agent": 4})
+    assert type(build_problem(least_squares)) is costs._LeastSquaresProblem
+    assert type(build_problem(fast_config(**{"cost.type": "logistic"}))) is costs._LogisticProblem
+    assert type(build_problem(fast_config(**{"cost.type": "svm"}))) is costs._SvmProblem

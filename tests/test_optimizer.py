@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contraction import ContractionMonitor, tracking_triple
+from per_node_costs import per_node_models
 from dtacopt import costs, delays, graphs, spectral
 from dtacopt.optimizer import (
     _DENSE_BASE,
@@ -54,8 +55,8 @@ def test_init_states_deterministic_and_seeded():
     assert not np.array_equal(a[:, :3], init_states(prob, seed=8)[:, :3])
     x, y, g = a[:, :3], a[:, 3], a[:, 4:]
     assert np.all(y == 1.0)
-    for i in range(5):
-        assert np.array_equal(g[i], prob.locals[i].grad(x[i]))
+    for i, model in enumerate(per_node_models(prob)):
+        assert np.array_equal(g[i], model.grad(x[i]))
 
 
 def test_in_transit_buffer_delivers_on_schedule():
@@ -85,8 +86,9 @@ def test_single_node_reduces_to_gradient_descent():
     W0 = init_states(prob, seed=3)
     engine = DtacEngine(prob, W0, C, d, alpha=0.05)
     x = W0[0, :3].copy()
+    (model,) = per_node_models(prob)
     for _ in range(200):
-        x = x - 0.05 * prob.locals[0].grad(x)
+        x = x - 0.05 * model.grad(x)
         engine.step()
         assert np.allclose(engine.live_x[0], x, atol=1e-12)
     assert np.linalg.norm(x - prob.z_star) < 1e-3
