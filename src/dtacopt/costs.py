@@ -35,7 +35,8 @@ class OracleError(RuntimeError):
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-t)) without overflow: exp is only taken of -|t|."""
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
 
 
 def _log1pexp(t: np.ndarray) -> np.ndarray:

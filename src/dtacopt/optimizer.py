@@ -39,6 +39,7 @@ current gradient scale so it stays meaningful on diverging runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -86,17 +87,17 @@ class InTransitBuffer:
         sends = stacked.reshape(-1, *self.q.shape[1:])
         s = send_round % self.depth
         head = min(len(sends), self.depth - s)  # the rest wraps to slot 0
-        self.q[s : s + head] += sends[:head]
-        self.q[: len(sends) - head] += sends[head:]
+        slots = self.q[s : s + head]
+        slots += sends[:head]
+        if head < len(sends):
+            slots = self.q[: len(sends) - head]
+            slots += sends[head:]
 
     def take(self, use_round: int) -> np.ndarray:
         s = use_round % self.depth
         out = self.q[s].copy()
         self.q[s] = 0.0
         return out
-
-    def column_sum(self, col: slice | int) -> np.ndarray | float:
-        return self.q[:, :, col].sum(axis=(0, 1))
 
 
 # Measured at width 11 on a 2-core x86_64 with OpenBLAS: a product through
@@ -161,27 +162,24 @@ class _EngineBase:
 
     def _measure(self) -> None:
         p = self.p
-        self.mass = float(self.W[:, p].sum())
-        self.tracker_mass = self.W[:, p + 1 :].sum(axis=0)
+        self.mass = float(np.add.reduce(self.W[:, p], None))
+        self.tracker_mass = np.add.reduce(self.W[:, p + 1 :], 0)
 
     def _update_live(self, mixed: np.ndarray) -> np.ndarray:
-        """Apply the gradient step and tracker increment to a mixed block."""
+        """Apply the gradient step and tracker increment to a mixed block, in
+        place: `mixed` must be a fresh array that nothing else references."""
         p = self.p
-        G_prev = self.W[:, p + 1 :]
-        x_new = mixed[:, :p] - self.alpha * G_prev
-        y_new = mixed[:, p]
-        if np.any(y_new <= 0.0):
+        x, y, g = mixed[:, :p], mixed[:, p], mixed[:, p + 1 :]
+        x -= self.alpha * self.W[:, p + 1 :]
+        if (y <= 0.0).any():
             raise EngineFault("nonpositive push-sum weight: protocol violated")
-        z_new = x_new / y_new[:, None]
-        grads = self.problem.grads(z_new)
-        g_new = (mixed[:, p + 1 :] + grads) - self.grad_prev
-        W_new = np.empty_like(mixed)
-        W_new[:, :p] = x_new
-        W_new[:, p] = y_new
-        W_new[:, p + 1 :] = g_new
-        self.Z = z_new
+        z = x / y[:, None]
+        grads = self.problem.grads(z)
+        g += grads
+        g -= self.grad_prev
+        self.Z = z
         self.grad_prev = grads
-        return W_new
+        return mixed
 
     @property
     def live_x(self) -> np.ndarray:
@@ -223,16 +221,17 @@ class DtacEngine(_EngineBase):
         # the round-k state is shared under the round-k topology, so sends
         # happen at the start of the round (mirrors the mixing-matrix form)
         self.buffers.deposit(self.k, self._mix(self.W))
-        arrivals = self.buffers.take(self.k)
-        self.W = self._update_live(arrivals)
+        self.W = self._update_live(self.buffers.take(self.k))
         self.k += 1
         self._measure()
 
     def _measure(self) -> None:
-        p = self.p
-        self.mass = float(self.W[:, p].sum()) + float(self.buffers.column_sum(p))
-        self.tracker_mass = self.W[:, p + 1 :].sum(axis=0) + self.buffers.column_sum(
-            slice(p + 1, None)
+        p, q = self.p, self.buffers.q
+        self.mass = float(np.add.reduce(self.W[:, p], None)) + float(
+            np.add.reduce(q[:, :, p], (0, 1))
+        )
+        self.tracker_mass = np.add.reduce(self.W[:, p + 1 :], 0) + np.add.reduce(
+            q[:, :, p + 1 :], (0, 1)
         )
 
 
@@ -256,16 +255,15 @@ class AugmentedEngine(_EngineBase):
 
     def step(self) -> None:
         mixed = self._mix(self.W_hat)
-        live = self._update_live(mixed[: self.n])
-        mixed[: self.n] = live
+        self._update_live(mixed[: self.n])
         self.W_hat = mixed
         self.k += 1
         self._measure()
 
     def _measure(self) -> None:
         p = self.p
-        self.mass = float(self.W_hat[:, p].sum())
-        self.tracker_mass = self.W_hat[:, p + 1 :].sum(axis=0)
+        self.mass = float(np.add.reduce(self.W_hat[:, p], None))
+        self.tracker_mass = np.add.reduce(self.W_hat[:, p + 1 :], 0)
 
     @property
     def x_hat(self) -> np.ndarray:
@@ -310,13 +308,13 @@ class TraceRecord:
     mass_error: float
 
     def as_csv_row(self) -> str:
-        return ",".join(repr(getattr(self, name)) for name in _TRACE_COLUMNS)
+        return (
+            f"{self.iter!r},{self.optimality_gap!r},{self.mse!r},"
+            f"{self.consensus_error!r},{self.grad_tracker_sum_error!r},{self.mass_error!r}"
+        )
 
 
-# taken once: every fields() call builds a tuple, and one per row leaves up to
-# 2000 of them (about 170 KiB) on CPython's tuple free list after a trace write
-_TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
-TRACE_HEADER = ",".join(_TRACE_COLUMNS)
+TRACE_HEADER = ",".join(f.name for f in fields(TraceRecord))
 
 
 # a run whose mean squared distance to z* passes this is DIVERGED
@@ -397,25 +395,19 @@ class RunResult:
 
 
 def _metrics(engine, problem: GlobalProblem) -> TraceRecord:
-    Z = engine.live_z
-    z_bar = Z.mean(axis=0)
-    gap = problem.gap(z_bar)
-    diffs = Z - problem.z_star
-    mse = float(np.mean(np.sum(diffs * diffs, axis=1)))
-    consensus = float(np.max(np.linalg.norm(Z - z_bar, axis=1)))
-    grad_now = engine.grad_prev.sum(axis=0)
-    tracker_err = float(
-        np.linalg.norm(engine.tracker_mass - grad_now)
-        / (1.0 + np.linalg.norm(grad_now))
-    )
-    mass_err = abs(engine.mass - engine.n)
+    # each line computes what numpy's mean, sum and linalg.norm compute (the
+    # same reductions, so the same bits) without their wrappers' overhead
+    Z, n = engine.live_z, engine.n
+    z_bar = np.add.reduce(Z, 0) / n
+    d = Z - problem.z_star
+    mse = float(np.add.reduce(np.add.reduce(d * d, 1), None) / n)
+    d = Z - z_bar
+    consensus = float(np.sqrt(np.add.reduce(d * d, 1)).max())
+    grad_now = np.add.reduce(engine.grad_prev, 0)
+    resid = engine.tracker_mass - grad_now
+    tracker_err = math.sqrt(resid.dot(resid)) / (1.0 + math.sqrt(grad_now.dot(grad_now)))
     return TraceRecord(
-        iter=engine.k,
-        optimality_gap=gap,
-        mse=mse,
-        consensus_error=consensus,
-        grad_tracker_sum_error=tracker_err,
-        mass_error=mass_err,
+        engine.k, problem.gap(z_bar), mse, consensus, tracker_err, abs(engine.mass - n)
     )
 
 
@@ -448,7 +440,7 @@ def run(
         last = _metrics(engine, problem)
         if engine.k % config.record_every == 0:
             records.append(last)
-        if not np.isfinite(last.mse) or last.mse > DIVERGENCE_MSE:
+        if not math.isfinite(last.mse) or last.mse > DIVERGENCE_MSE:
             status = "DIVERGED"
             break
         if last.optimality_gap < config.tol:
