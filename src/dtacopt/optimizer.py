@@ -87,11 +87,9 @@ class InTransitBuffer:
         sends = stacked.reshape(-1, *self.q.shape[1:])
         s = send_round % self.depth
         head = min(len(sends), self.depth - s)  # the rest wraps to slot 0
-        slots = self.q[s : s + head]
-        slots += sends[:head]
+        self.q[s : s + head] += sends[:head]
         if head < len(sends):
-            slots = self.q[: len(sends) - head]
-            slots += sends[head:]
+            self.q[: len(sends) - head] += sends[head:]
 
     def take(self, use_round: int) -> np.ndarray:
         s = use_round % self.depth
