@@ -87,9 +87,13 @@ class InTransitBuffer:
         sends = stacked.reshape(-1, *self.q.shape[1:])
         s = send_round % self.depth
         head = min(len(sends), self.depth - s)  # the rest wraps to slot 0
-        self.q[s : s + head] += sends[:head]
+        # add through a named view: `q[a] += b` would also write the sum back
+        # through q.__setitem__, a second pass over the slots
+        slots = self.q[s : s + head]
+        slots += sends[:head]
         if head < len(sends):
-            self.q[: len(sends) - head] += sends[head:]
+            slots = self.q[: len(sends) - head]
+            slots += sends[head:]
 
     def take(self, use_round: int) -> np.ndarray:
         s = use_round % self.depth
@@ -400,7 +404,9 @@ def _metrics(engine, problem: GlobalProblem) -> TraceRecord:
     d = Z - problem.z_star
     mse = float(np.add.reduce(np.add.reduce(d * d, 1), None) / n)
     d = Z - z_bar
-    consensus = float(np.sqrt(np.add.reduce(d * d, 1)).max())
+    # sqrt is correctly rounded and monotone: the root of the largest squared
+    # row norm is the largest row norm
+    consensus = math.sqrt(np.maximum.reduce(np.add.reduce(d * d, 1)))
     grad_now = np.add.reduce(engine.grad_prev, 0)
     resid = engine.tracker_mass - grad_now
     tracker_err = math.sqrt(resid.dot(resid)) / (1.0 + math.sqrt(grad_now.dot(grad_now)))

@@ -216,6 +216,39 @@ def test_mixer_matches_the_dense_product(case):
         assert np.array_equal(mix(X), got)
 
 
+@pytest.mark.parametrize("n", [10, 200])
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_step_state_shares_no_memory(name, n):
+    """The update writes into the block the product returns, so that block
+    must be new every round: never a view of the in-transit slots, of the
+    previous state or of the weights.  n=10 takes the dense product, the
+    exponential n=200 graph the nonzero (bincount) one for the delayed
+    engines."""
+    if n == 10:
+        g, tau = graphs.generate_erdos_renyi(n, 0.5, 8), 2
+    else:
+        g, tau = graphs.generate_exponential_graph(n), 10
+    C = graphs.build_column_stochastic_weights(g)
+    d = delays.assign_delays(g, tau, "uniform-random", 145)
+    prob = costs.make_quadratic(n, 5, 42)
+    engine = ENGINES[name](prob, init_states(prob, 3), C, d, 1e-4)
+    if name == "augmented-oracle":
+        assert multiplied_through_nonzeros(engine.aug.entries) == (n == 200)
+    if name == "per-node":
+        stacked = delays.build_delay_slices(C, d).slices.reshape(-1, n)
+        assert multiplied_through_nonzeros(stacked) == (n == 200)
+    state = (lambda: engine.W_hat) if name == "augmented-oracle" else (lambda: engine.W)
+    for _ in range(3):
+        before = [state(), engine.Z, engine.grad_prev]
+        engine.step()
+        now = state()
+        assert not np.shares_memory(now, C.entries)
+        assert not any(np.shares_memory(now, old) for old in before)
+        assert not np.shares_memory(engine.Z, now)
+        if name == "per-node":
+            assert not np.shares_memory(now, engine.buffers.q)
+
+
 def test_two_node_quadratic_matches_oracle_tightly():
     g = graphs.generate_erdos_renyi(2, 1.0, seed=0)
     C = graphs.build_column_stochastic_weights(g)

@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_round import REFERENCE_ENGINES, reference_metrics
-from dtacopt import costs, delays, graphs
+from dtacopt import costs
 from dtacopt.optimizer import (
-    _DENSE_BASE,
-    _DENSE_PER_NONZERO,
     DIVERGENCE_MSE,
     ENGINES,
     AugmentedEngine,
@@ -132,40 +130,3 @@ def test_round_matches_the_reference_bit_for_bit(family, case):
     with np.errstate(all="ignore"):
         for cls in ENGINES.values():
             _lockstep(cls, prob, case)
-
-
-def _routes_through_nonzeros(M):
-    return M.size > _DENSE_BASE + _DENSE_PER_NONZERO * np.count_nonzero(M)
-
-
-@pytest.mark.parametrize("n", [10, 200])
-@pytest.mark.parametrize("name", sorted(ENGINES))
-def test_step_state_shares_no_memory(name, n):
-    """The update writes into the block the product returns, so that block
-    must be new every round: never a view of the in-transit slots, of the
-    previous state or of the weights.  n=10 takes the dense product, the
-    exponential n=200 graph the nonzero (bincount) one for the delayed
-    engines."""
-    if n == 10:
-        g, tau = graphs.generate_erdos_renyi(n, 0.5, 8), 2
-    else:
-        g, tau = graphs.generate_exponential_graph(n), 10
-    C = graphs.build_column_stochastic_weights(g)
-    d = delays.assign_delays(g, tau, "uniform-random", 145)
-    prob = costs.make_quadratic(n, 5, 42)
-    engine = ENGINES[name](prob, init_states(prob, 3), C, d, 1e-4)
-    if name == "augmented-oracle":
-        assert _routes_through_nonzeros(engine.aug.entries) == (n == 200)
-    if name == "per-node":
-        stacked = delays.build_delay_slices(C, d).slices.reshape(-1, n)
-        assert _routes_through_nonzeros(stacked) == (n == 200)
-    state = (lambda: engine.W_hat) if name == "augmented-oracle" else (lambda: engine.W)
-    for _ in range(3):
-        before = [state(), engine.Z, engine.grad_prev]
-        engine.step()
-        now = state()
-        assert not np.shares_memory(now, C.entries)
-        assert not any(np.shares_memory(now, old) for old in before)
-        assert not np.shares_memory(engine.Z, now)
-        if name == "per-node":
-            assert not np.shares_memory(now, engine.buffers.q)
