@@ -87,13 +87,9 @@ class InTransitBuffer:
         sends = stacked.reshape(-1, *self.q.shape[1:])
         s = send_round % self.depth
         head = min(len(sends), self.depth - s)  # the rest wraps to slot 0
-        # add through a named view: `q[a] += b` would also write the sum back
-        # through q.__setitem__, a second pass over the slots
-        slots = self.q[s : s + head]
-        slots += sends[:head]
+        self.q[s : s + head] += sends[:head]
         if head < len(sends):
-            slots = self.q[: len(sends) - head]
-            slots += sends[head:]
+            self.q[: len(sends) - head] += sends[head:]
 
     def take(self, use_round: int) -> np.ndarray:
         s = use_round % self.depth
@@ -397,15 +393,14 @@ class RunResult:
 
 
 def _metrics(engine, problem: GlobalProblem) -> TraceRecord:
-    # each line computes what numpy's mean, sum and linalg.norm compute (the
-    # same reductions, so the same bits) without their wrappers' overhead
+    # the reductions numpy's mean, sum and linalg.norm make (so the same bits),
+    # without their wrappers' overhead
     Z, n = engine.live_z, engine.n
     z_bar = np.add.reduce(Z, 0) / n
     d = Z - problem.z_star
     mse = float(np.add.reduce(np.add.reduce(d * d, 1), None) / n)
     d = Z - z_bar
-    # sqrt is correctly rounded and monotone: the root of the largest squared
-    # row norm is the largest row norm
+    # sqrt is correctly rounded and monotone, so this is the largest row norm
     consensus = math.sqrt(np.maximum.reduce(np.add.reduce(d * d, 1)))
     grad_now = np.add.reduce(engine.grad_prev, 0)
     resid = engine.tracker_mass - grad_now

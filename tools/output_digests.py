@@ -59,7 +59,7 @@ NO_OUT = ("spectral", "check-bound")  # subcommands without --out
 
 
 def digest_lines(root: Path) -> list[str]:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     lines = []
     for name, argv in COMMANDS:
         with tempfile.TemporaryDirectory() as tmp:
