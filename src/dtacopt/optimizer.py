@@ -294,9 +294,10 @@ ENGINES: dict[str, type[_EngineBase]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
-    """One metric row; all finite unless the run diverged."""
+    """One metric row; all finite unless the run diverged.  A run keeps every
+    recorded row, so rows hold their fields in slots, without a __dict__."""
 
     iter: int
     optimality_gap: float
