@@ -5,8 +5,9 @@ on the freshly mixed block, sums with `np.add.reduce` and takes its metric
 row from bare reductions.  The classes here keep the earlier round: a copy of
 each input block, the `.sum()`/`np.mean`/`np.linalg.norm` wrappers and a
 keyword-built `TraceRecord`.  Each reference engine subclasses its package
-engine, so both share the constructor, `set_topology` and the mixing product,
-and differ only in the code that was rewritten.  The rewrite computes the
+engine, so both share the constructor, `set_topology`, the mixing product and
+every step body that did not change, and differ only in the code that was
+rewritten.  The rewrite computes the
 same expressions, so the tests require the two to agree bit for bit: equal
 states, equal trace rows and the same `EngineFault`.
 """
@@ -73,13 +74,6 @@ class ReferenceDtacEngine(_ReferenceUpdate, DtacEngine):
         self.W = W
         self.buffers = ReferenceBuffer(self.tau_max, self.n, W.shape[1])
 
-    def step(self) -> None:
-        self.buffers.deposit(self.k, self._mix(self.W))
-        arrivals = self.buffers.take(self.k)
-        self.W = self._update_live(arrivals)
-        self.k += 1
-        self._measure()
-
     def _measure(self) -> None:
         p = self.p
         self.mass = float(self.W[:, p].sum()) + float(self.buffers.column_sum(p))
@@ -104,11 +98,6 @@ class ReferenceAugmentedEngine(_ReferenceUpdate, AugmentedEngine):
 
 
 class ReferenceAddOptEngine(_ReferenceUpdate, AddOptEngine):
-    def step(self) -> None:
-        self.W = self._update_live(self._mix(self.W))
-        self.k += 1
-        self._measure()
-
     def _measure(self) -> None:
         p = self.p
         self.mass = float(self.W[:, p].sum())
