@@ -247,27 +247,27 @@ def nesterov_minimize(
     raise OracleError(f"centralized oracle missed tol={tol} in {max_iters} iterations")
 
 
-def _random_spd(p: int, rng: np.random.Generator, lo: float = 1.0, hi: float = 10.0):
-    """Random orthogonal conjugation of a diagonal with eigenvalues in [lo, hi]."""
-    eigs = rng.uniform(lo, hi, size=p)
-    Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
-    return (Q * eigs) @ Q.T, float(eigs.min()), float(eigs.max())
-
-
 def make_quadratic(n: int, p: int, seed: int) -> GlobalProblem:
     """n random strongly convex quadratics; the optimum solves the summed
-    linear system exactly."""
+    linear system exactly.
+
+    A_i is a random orthogonal conjugation Q_i diag(eigs_i) Q_i' with
+    eigenvalues drawn uniformly in [1, 10].  Node by node the stream gives
+    eigs_i, the Gaussian whose QR factor is Q_i, then b_i; the factorizations
+    and products then run once over the stacked draws."""
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
     rng = np.random.default_rng(seed)
-    A = np.empty((n, p, p))
+    eigs = np.empty((n, p))
+    G = np.empty((n, p, p))
     b = np.empty((n, p))
-    s = np.empty(n)
-    l = np.empty(n)
     for i in range(n):
-        A[i], s[i], l[i] = _random_spd(p, rng)
+        eigs[i] = rng.uniform(1.0, 10.0, size=p)
+        G[i] = rng.standard_normal((p, p))
         b[i] = rng.standard_normal(p)
-    problem = _QuadraticProblem(A, b, s, l)
+    Q, _ = np.linalg.qr(G)
+    A = np.matmul(Q * eigs[:, None, :], Q.transpose(0, 2, 1))
+    problem = _QuadraticProblem(A, b, eigs.min(1), eigs.max(1))
     return problem._with_optimum(np.linalg.solve(problem.A_sum, -problem.b_sum))
 
 
@@ -281,10 +281,11 @@ def make_least_squares(
     rng = np.random.default_rng(seed)
     z_true = rng.standard_normal(p)
     H = np.empty((n, rows_per_agent, p))
-    b = np.empty((n, rows_per_agent))
+    noise = np.empty((n, rows_per_agent))
     for i in range(n):
         H[i] = rng.standard_normal((rows_per_agent, p))
-        b[i] = H[i] @ z_true + 0.1 * rng.standard_normal(rows_per_agent)
+        noise[i] = rng.standard_normal(rows_per_agent)
+    b = np.matmul(H, z_true) + 0.1 * noise
     grams = np.matmul(H.transpose(0, 2, 1), H)
     # summed node by node, in order, as the per-node normal equations add up
     gram = sum(grams, ridge * n * np.eye(p))

@@ -260,9 +260,10 @@ def build_setting(cfg: ExperimentConfig) -> StaticSetting | SwitchingPlan:
 
 
 def write_trace(records: list[TraceRecord], path: Path) -> None:
-    lines = [TRACE_HEADER]
-    lines.extend(rec.as_csv_row() for rec in records)
-    path.write_text("\n".join(lines) + "\n")
+    """Write the rows one at a time: a trace's text is never whole in memory."""
+    with path.open("w") as f:
+        f.write(TRACE_HEADER + "\n")
+        f.writelines(f"{rec.as_csv_row()}\n" for rec in records)
 
 
 @dataclass(frozen=True)
@@ -285,10 +286,17 @@ class RunSummary:
 SUMMARY_HEADER = "tau_max,alpha,status,iters,final_gap,final_mse"
 
 
-def execute_run(cfg: ExperimentConfig) -> RunResult:
-    """Run one configured experiment point."""
-    problem = build_problem(cfg)
-    setting = build_setting(cfg)
+def execute_run(
+    cfg: ExperimentConfig,
+    problem: costs.GlobalProblem | None = None,
+    setting: StaticSetting | SwitchingPlan | None = None,
+) -> RunResult:
+    """Run one configured experiment point, on the problem and setting a
+    caller already built for `cfg` where it passes them."""
+    if problem is None:
+        problem = build_problem(cfg)
+    if setting is None:
+        setting = build_setting(cfg)
     run_cfg = RunConfig(
         alpha=cfg.get("run.alpha"),
         max_iters=cfg.get("run.max_iters"),
@@ -303,25 +311,35 @@ def execute_run(cfg: ExperimentConfig) -> RunResult:
 def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunSummary]:
     """Execute the configured sweep (or the single configured point), write
     one trace CSV per run plus a summary CSV, and dump the static topology
-    with one delay map per swept delay bound."""
+    with one delay map per swept delay bound.
+
+    A sweep varies only `delay.tau_max` and `run.alpha`, so the problem and
+    the static graph and weights are built once; each bound draws its delay
+    map once, for its file and for all of its points."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     tag = cfg.get("experiment.tag")
     taus = cfg.get("sweep.tau_max") or (cfg.get("delay.tau_max"),)
     alphas = cfg.get("sweep.alpha") or (cfg.get("run.alpha"),)
 
+    delay_maps = {}
     if not cfg.get("switching.enabled"):
         g = build_graph(cfg)
+        C = graphs.build_column_stochastic_weights(g)
         graphs.dump_edge_list(g, out / f"{tag}_graph.txt")
         for tau in taus:
             d = delays.assign_delays(g, tau, cfg.get("delay.mode"), cfg.get("delay.seed"))
             delays.dump_delay_map(d, out / f"{tag}_tau{tau}_delays.txt")
+            delay_maps[tau] = d
 
+    problem = build_problem(cfg)
     summaries = []
     for tau in taus:
+        # a switching plan holds no draws, so execute_run builds it per point
+        setting = StaticSetting(C, delay_maps[tau]) if delay_maps else None
         for alpha in alphas:
             sub = cfg.with_overrides(**{"delay.tau_max": tau, "run.alpha": alpha})
-            result = execute_run(sub)
+            result = execute_run(sub, problem, setting)
             path = out / f"{tag}_tau{tau}_alpha{alpha!r}.csv"
             write_trace(result.records, path)
             summaries.append(
@@ -351,20 +369,21 @@ def compare_engines(cfg: ExperimentConfig, outdir: str | Path) -> dict:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     tag = cfg.get("experiment.tag")
-    delayed = execute_run(cfg.with_overrides(**{"run.engine": "per-node"}))
+    problem = build_problem(cfg)
+    delayed = execute_run(cfg.with_overrides(**{"run.engine": "per-node"}), problem)
     baseline = execute_run(
-        cfg.with_overrides(**{"run.engine": "addopt-nodelay", "delay.tau_max": 0})
+        cfg.with_overrides(**{"run.engine": "addopt-nodelay", "delay.tau_max": 0}), problem
     )
-    rows = ["iter,gap_delay_tolerant,gap_delay_free"]
     iters = sorted(
         {r.iter for r in delayed.records} | {r.iter for r in baseline.records}
     )
     d_map = {r.iter: r.optimality_gap for r in delayed.records}
     b_map = {r.iter: r.optimality_gap for r in baseline.records}
-    for it in iters:
-        left = repr(d_map[it]) if it in d_map else ""
-        right = repr(b_map[it]) if it in b_map else ""
-        rows.append(f"{it},{left},{right}")
-    rows.append(f"status,{delayed.status},{baseline.status}")
-    (out / f"{tag}_compare.csv").write_text("\n".join(rows) + "\n")
+    with (out / f"{tag}_compare.csv").open("w") as f:
+        f.write("iter,gap_delay_tolerant,gap_delay_free\n")
+        for it in iters:
+            left = repr(d_map[it]) if it in d_map else ""
+            right = repr(b_map[it]) if it in b_map else ""
+            f.write(f"{it},{left},{right}\n")
+        f.write(f"status,{delayed.status},{baseline.status}\n")
     return {"delayed": delayed, "baseline": baseline}

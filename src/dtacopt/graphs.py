@@ -160,11 +160,21 @@ def generate_erdos_renyi(
 
 
 def generate_exponential_graph(n: int) -> DirectedGraph:
-    """Digraph where node i links to (i + 2**j) mod n for j = 0..floor(log2(n-1))."""
+    """Digraph where node i links to (i + 2**j) mod n for j = 0..floor(log2(n-1)).
+
+    The links come out in sorted order without a sort: the k_i hops with
+    i + h < n keep their order, the others wrap below i, so node i's sorted
+    receivers are (i + hops) mod n rotated to start at hop k_i."""
     if n < 2:
         raise ValueError("need n >= 2")
-    hops = [2**j for j in range(int(np.log2(n - 1)) + 1)] if n > 2 else [1]
-    return DirectedGraph.from_edges((i, (i + h) % n) for i in range(n) for h in hops)
+    hops = [1 << j for j in range((n - 1).bit_length())]
+    # k_i = number of hops h <= n - 1 - i
+    k = np.cumsum(np.bincount(hops, minlength=n))[::-1]
+    rotated = np.array(hops + hops)[k[:, None] + np.arange(len(hops))]
+    nodes = np.arange(n)[:, None]
+    # mod n by index wrapping: % would load numpy code no other set-up step runs
+    dst = np.ravel_multi_index((nodes + rotated,), (n,), mode="wrap")
+    return DirectedGraph(n, np.broadcast_to(nodes, dst.shape).ravel(), dst.ravel())
 
 
 def is_strongly_connected(g: DirectedGraph) -> bool:

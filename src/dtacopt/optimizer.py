@@ -110,9 +110,9 @@ def _mixer(M: np.ndarray, width: int):
     most _DENSE_BASE + _DENSE_PER_NONZERO * nnz(M) entries, else one bincount
     over the nonzeros that adds each row's terms in column order and keeps no
     reference to M.  The route depends on M alone."""
-    if M.size <= _DENSE_BASE + _DENSE_PER_NONZERO * np.count_nonzero(M):
-        return M.__matmul__
     flat = np.flatnonzero(M)
+    if M.size <= _DENSE_BASE + _DENSE_PER_NONZERO * len(flat):
+        return M.__matmul__
     rows, cols = np.divmod(flat, M.shape[1])
     vals = M.ravel()[flat][:, None]
     bins = (rows[:, None] * width + np.arange(width)).ravel()

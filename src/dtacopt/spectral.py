@@ -382,14 +382,21 @@ def build_spectral_report(C: np.ndarray, d: DelayMap) -> SpectralReport:
     bound = rho_C ** (1.0 / (1.0 + d.tau_max))
     C_inf = limit_matrix(C)
     sigma1 = contraction_sigma(C)
-    # aug - pi 1^T, broadcast without forming pi 1^T
-    sigma_norm2 = float(np.linalg.norm(aug.entries - pi[:, None], 2))
     sigma1_norm2 = float(np.linalg.norm(C - C_inf, 2))
     kappa = float(np.linalg.norm(_minus_identity(C), 2))
     epsilon = _projector_norm(C_inf[:, 0])
-    kappa_aug = float(np.linalg.norm(_minus_identity(aug.entries), 2))
     epsilon_aug = _projector_norm(pi)
     mix = measure_mixing_constants(aug)
+    # aug is not read again, so its two N x N norms are taken in its own
+    # entries: aug - I, then (diagonal restored) aug - pi 1^T
+    M = aug.entries
+    diagonal = np.diag_indices(M.shape[0])
+    live = M[diagonal]
+    M[diagonal] -= 1.0
+    kappa_aug = float(np.linalg.norm(M, 2))
+    M[diagonal] = live
+    M -= pi[:, None]
+    sigma_norm2 = float(np.linalg.norm(M, 2))
     return SpectralReport(
         n=n,
         tau_max=d.tau_max,

@@ -8,6 +8,10 @@ would, so the tests can require the stacked `grads`, `total` and
 match them bit for bit.  `per_node_models(prob)` builds them on views of a
 problem's stacked arrays, so the references read the very data the engines
 run.
+
+`replay_quadratic` and `replay_least_squares` draw and build a factory's
+data one node at a time, in stream order, so the tests can require the
+stacked factories to match them bit for bit.
 """
 
 from __future__ import annotations
@@ -203,3 +207,32 @@ def per_node_models(prob) -> list:
             for i in range(n)
         ]
     raise TypeError(f"no per-node model for {type(prob).__name__}")
+
+
+def random_spd(p: int, rng: np.random.Generator, lo: float = 1.0, hi: float = 10.0):
+    """One node's A_i: a random orthogonal conjugation of a diagonal with
+    eigenvalues in [lo, hi], and the smallest and largest of them."""
+    eigs = rng.uniform(lo, hi, size=p)
+    Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    return (Q * eigs) @ Q.T, float(eigs.min()), float(eigs.max())
+
+
+def replay_quadratic(n: int, p: int, seed: int):
+    """(A, b, s, l) of `costs.make_quadratic(n, p, seed)`, node by node."""
+    rng = np.random.default_rng(seed)
+    A, b, s, l = np.empty((n, p, p)), np.empty((n, p)), np.empty(n), np.empty(n)
+    for i in range(n):
+        A[i], s[i], l[i] = random_spd(p, rng)
+        b[i] = rng.standard_normal(p)
+    return A, b, s, l
+
+
+def replay_least_squares(n: int, p: int, rows: int, seed: int):
+    """(H, b) of `costs.make_least_squares(n, p, rows, seed)`, node by node."""
+    rng = np.random.default_rng(seed)
+    z_true = rng.standard_normal(p)
+    H, b = np.empty((n, rows, p)), np.empty((n, rows))
+    for i in range(n):
+        H[i] = rng.standard_normal((rows, p))
+        b[i] = H[i] @ z_true + 0.1 * rng.standard_normal(rows)
+    return H, b

@@ -2,19 +2,24 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dtacopt.costs import (
     OracleError,
-    _random_spd,
     make_least_squares,
     make_logistic,
     make_quadratic,
     make_smooth_svm,
     nesterov_minimize,
 )
-from per_node_costs import LeastSquaresCost, QuadraticCost, per_node_models
+from per_node_costs import (
+    LeastSquaresCost,
+    QuadraticCost,
+    per_node_models,
+    replay_least_squares,
+    replay_quadratic,
+)
 
 ALL_FACTORIES = [
     lambda: make_quadratic(4, 3, 11),
@@ -254,13 +259,11 @@ def _check_batched(prob, seed, models=None):
 def _drawn_quadratic_models(prob, seed):
     """The quadratic's per-node models with s_i, l_i set to the spectrum the
     factory drew for A_i (replayed from its seed), not recovered by eigvalsh."""
-    rng = np.random.default_rng(seed)
-    models = []
-    for m in per_node_models(prob):
-        _, s_i, l_i = _random_spd(prob.dim, rng)
-        rng.standard_normal(prob.dim)
-        models.append(dataclasses.replace(m, s=s_i, l=l_i))
-    return models
+    _, _, s, l = replay_quadratic(prob.n, prob.dim, seed)
+    return [
+        dataclasses.replace(m, s=float(s_i), l=float(l_i))
+        for m, s_i, l_i in zip(per_node_models(prob), s, l)
+    ]
 
 
 @PROPERTY
@@ -268,6 +271,31 @@ def _drawn_quadratic_models(prob, seed):
 def test_batched_quadratic_matches_per_node_models(n, p, seed):
     prob = make_quadratic(n, p, seed)
     _check_batched(prob, seed, _drawn_quadratic_models(prob, seed))
+
+
+BUILDS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+@BUILDS
+@given(n=st.integers(1, 1000), p=st.integers(1, 6), seed=SEEDS)
+@example(n=1000, p=1, seed=0)
+@example(n=1000, p=5, seed=42)
+def test_make_quadratic_matches_a_per_node_replay(n, p, seed):
+    prob = make_quadratic(n, p, seed)
+    A, b, s, l = replay_quadratic(n, p, seed)
+    assert np.array_equal(prob.A, A) and np.array_equal(prob.b, b)
+    assert prob.s == s.min() and prob.l == l.max()
+
+
+@BUILDS
+@given(n=st.integers(1, 1000), p=st.integers(1, 6), rows=st.integers(1, 8), seed=SEEDS)
+@example(n=1000, p=1, rows=1, seed=0)
+@example(n=1000, p=5, rows=8, seed=42)
+def test_make_least_squares_matches_a_per_node_replay(n, p, rows, seed):
+    assume(n * rows >= p)
+    prob = make_least_squares(n, p, rows, seed)
+    H, b = replay_least_squares(n, p, rows, seed)
+    assert np.array_equal(prob.H, H) and np.array_equal(prob.b, b)
 
 
 @PROPERTY

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dtacopt import costs
+from dtacopt import costs, delays, experiment, graphs
 from dtacopt.experiment import (
     ConfigError,
     apply_overrides,
@@ -228,6 +228,34 @@ def test_compare_engines_divergent_column_is_marked(tmp_path):
     assert results["baseline"].status == "CONVERGED"
     last = (tmp_path / "run_compare.csv").read_text().strip().splitlines()[-1]
     assert last == "status,DIVERGED,CONVERGED"
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap module.name so each call appends to the returned list."""
+    calls, fn = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_compare_builds_the_problem_once(monkeypatch, tmp_path):
+    built = _count_calls(monkeypatch, costs, "make_quadratic")
+    compare_engines(fast_config(**{"run.max_iters": 20}), tmp_path)
+    assert len(built) == 1
+
+
+def test_sweep_builds_problem_and_graph_once_and_runs_every_point(monkeypatch, tmp_path):
+    built = _count_calls(monkeypatch, costs, "make_quadratic")
+    sampled = _count_calls(monkeypatch, graphs, "generate_erdos_renyi")
+    drawn = _count_calls(monkeypatch, delays, "assign_delays")
+    points = _count_calls(monkeypatch, experiment, "execute_run")
+    cfg = fast_config(**{"sweep.tau_max": (1, 2), "sweep.alpha": (0.003, 0.004), "run.max_iters": 20})
+    run_experiment(cfg, tmp_path)
+    assert (len(built), len(sampled), len(drawn), len(points)) == (1, 1, 2, 4)
 
 
 def test_build_problem_selects_cost_family():

@@ -95,6 +95,15 @@ def test_exponential_graph_sixteen_nodes_out_degree_four():
     assert is_strongly_connected(g)
 
 
+def test_exponential_graph_equals_its_sorted_edge_list():
+    for n in (*range(2, 301), 1000, 1024, 1025):
+        hops = [2**j for j in range(int(np.log2(n - 1)) + 1)]
+        ref = DirectedGraph.from_edges((i, (i + h) % n) for i in range(n) for h in hops)
+        g = generate_exponential_graph(n)
+        assert g.n == ref.n == n and same_links(g, ref), n
+        assert g.src.dtype == g.dst.dtype == np.intp
+
+
 def test_strong_connectivity_on_known_graphs():
     assert is_strongly_connected(cycle(3))
     path = DirectedGraph(3, [0, 1], [1, 2])

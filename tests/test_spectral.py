@@ -459,6 +459,7 @@ def test_spectral_report_field_consistency():
     # dense oracles: the limits from N x N and n x n solves, norms by SVD
     P = limit_matrix(aug)
     assert report.sigma_norm2 == pytest.approx(np.linalg.norm(aug - P, 2), rel=1e-12)
+    assert report.kappa_aug == pytest.approx(np.linalg.norm(aug - np.eye(N), 2), rel=1e-12)
     assert report.epsilon_aug == pytest.approx(np.linalg.norm(np.eye(N) - P, 2), rel=1e-12)
     assert report.epsilon == pytest.approx(
         np.linalg.norm(np.eye(report.n) - limit_matrix(C), 2), rel=1e-12

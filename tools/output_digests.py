@@ -31,8 +31,10 @@ LOGISTIC = ("--set", "graph.type=exponential", "--set", "graph.n=16",
             "--set", "cost.type=logistic", "--set", "delay.tau_max=3")
 
 # (name, argv): the README commands, one run under each engine and cost family,
-# a large sparse run whose products take the nonzero (bincount) route, and a
-# graph that cannot be sampled strongly connected (exit 1)
+# a large sparse run whose products take the nonzero (bincount) route, a
+# one-point sweep that writes the edge list, delay map and trace of an
+# exponential graph whose hops wrap unevenly (n=257) on least-squares costs,
+# and a graph that cannot be sampled strongly connected (exit 1)
 COMMANDS = (
     ("run", ("run",)),
     ("run-oracle", ("run", "--set", "run.engine=augmented-oracle")),
@@ -49,6 +51,8 @@ COMMANDS = (
                           "--set", "run.max_iters=200")),
     ("sweep", ("sweep", "--set", "sweep.tau_max=0,5,15", "--set", "sweep.alpha=0.001,0.005",
                "--set", "run.max_iters=1500")),
+    ("sweep-exponential", ("sweep", "--set", "graph.type=exponential", "--set", "graph.n=257",
+                           "--set", "cost.type=least_squares", "--set", "run.max_iters=5")),
     ("compare-logistic", ("compare", *LOGISTIC)),
     ("spectral", ("spectral", "--set", "delay.tau_max=5", "--record")),
     ("check-bound", ("check-bound", "--set", "run.alpha=0.001")),
