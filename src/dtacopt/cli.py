@@ -32,7 +32,7 @@ from .experiment import (
     run_experiment,
     write_trace,
 )
-from .optimizer import EngineFault
+from .optimizer import EngineFault, StaticSetting
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -92,20 +92,17 @@ def _certify(args):
     else:
         g = build_graph(cfg)
     if args.delay_file:
-        d = delays.load_delay_map(args.delay_file)
+        setting = StaticSetting(
+            graphs.build_column_stochastic_weights(g), delays.load_delay_map(args.delay_file)
+        )
     else:
-        d = delays.assign_delays(
+        setting = StaticSetting.draw(
             g, cfg.get("delay.tau_max"), cfg.get("delay.mode"), cfg.get("delay.seed")
         )
-    C = graphs.build_column_stochastic_weights(g)
     problem = build_problem(cfg.with_overrides(**{"graph.n": g.n}))
-    report = spectral.build_spectral_report(C.entries, d)
+    report = spectral.build_spectral_report(setting.weights.entries, setting.delays)
     try:
-        bound = spectral.step_size_bound(
-            n=report.n, tau_max=report.tau_max, sigma=report.sigma,
-            kappa=report.kappa, epsilon=report.epsilon, l=problem.l, s=problem.s,
-            y=report.y, y_minus=report.y_minus,
-        )
+        bound = spectral.step_size_bound(report.constants(problem.l, problem.s))
     except ValueError as exc:
         return cfg, report, None, str(exc)
     return cfg, report, bound, ""
@@ -192,12 +189,10 @@ def _suite_gradients(fault: str | None) -> None:
 
 
 def _suite_reduction(fault: str | None) -> None:
-    g = graphs.generate_erdos_renyi(6, 0.5, 11)
-    C = graphs.build_column_stochastic_weights(g)
-    d = delays.assign_delays(g, 0, "zero", 0)
+    setting = StaticSetting.draw(graphs.generate_erdos_renyi(6, 0.5, 11), 0, "zero", 0)
     prob = costs.make_quadratic(6, 3, 5)
     base, *delayed = (
-        cls(prob, optimizer.init_states(prob, 1), C, d, 0.01)
+        cls(prob, optimizer.init_states(prob, 1), setting.weights, setting.delays, 0.01)
         for cls in (optimizer.AddOptEngine, optimizer.DtacEngine, optimizer.AugmentedEngine)
     )
     for _ in range(200):
@@ -211,8 +206,8 @@ def _suite_reduction(fault: str | None) -> None:
 def _suite_equivalence(fault: str | None) -> None:
     for n, tau, seed in ((4, 2, 12), (6, 3, 13)):
         g = graphs.generate_erdos_renyi(n, 0.6, seed)
-        C = graphs.build_column_stochastic_weights(g)
-        d = delays.assign_delays(g, tau, "uniform-random", seed)
+        setting = StaticSetting.draw(g, tau, "uniform-random", seed)
+        C, d = setting.weights, setting.delays
         prob = costs.make_quadratic(n, 3, seed)
         e1 = optimizer.DtacEngine(prob, optimizer.init_states(prob, 7), C, d, 0.004)
         e2 = optimizer.AugmentedEngine(prob, optimizer.init_states(prob, 7), C, d, 0.004)
@@ -224,11 +219,11 @@ def _suite_equivalence(fault: str | None) -> None:
 
 
 def _suite_conservation(fault: str | None) -> None:
-    g = graphs.generate_erdos_renyi(8, 0.5, 21)
-    C = graphs.build_column_stochastic_weights(g)
-    d = delays.assign_delays(g, 4, "uniform-random", 22)
+    setting = StaticSetting.draw(graphs.generate_erdos_renyi(8, 0.5, 21), 4, "uniform-random", 22)
     prob = costs.make_quadratic(8, 3, 23)
-    e = optimizer.DtacEngine(prob, optimizer.init_states(prob, 2), C, d, 0.004)
+    e = optimizer.DtacEngine(
+        prob, optimizer.init_states(prob, 2), setting.weights, setting.delays, 0.004
+    )
     for _ in range(300):
         e.step()
         row = optimizer._metrics(e, prob)  # the residuals a trace records

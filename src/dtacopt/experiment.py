@@ -9,6 +9,7 @@ reproduces its CSVs byte for byte.  A sweep crosses `sweep.tau_max` with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import costs, delays, graphs, optimizer
@@ -35,31 +36,27 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _parse_list(item, text: str) -> tuple:
     text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(part) for part in text.split(","))
+    return tuple(item(part) for part in text.split(",")) if text else ()
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part) for part in text.split(","))
+def _choice(*names: str) -> tuple:
+    """A key that takes one of `names`; the first is its default."""
+    return (names, names[0], " | ".join(names))
 
 
-# key -> (parser, default, help)
+# key -> (parser, or the tuple of a choice key's values; default; help)
 CONFIG_KEYS: dict[str, tuple] = {
     "experiment.tag": (str, "run", "prefix for output file names"),
-    "graph.type": (str, "erdos-renyi", "erdos-renyi | exponential"),
+    "graph.type": _choice("erdos-renyi", "exponential"),
     "graph.n": (int, 10, "number of nodes"),
     "graph.p": (float, 0.5, "edge probability for erdos-renyi"),
     "graph.seed": (int, 8, "graph sampling seed"),
     "delay.tau_max": (int, 5, "delay bound (0 disables delays)"),
-    "delay.mode": (str, "uniform-random", "uniform-random | homogeneous-max | zero"),
+    "delay.mode": _choice("uniform-random", "homogeneous-max", "zero"),
     "delay.seed": (int, 145, "delay sampling seed"),
-    "cost.type": (str, "quadratic", "quadratic | least_squares | logistic | svm"),
+    "cost.type": _choice("quadratic", "least_squares", "logistic", "svm"),
     "cost.dim": (int, 5, "state dimension (feature dim for logistic/svm)"),
     "cost.seed": (int, 42, "cost sampling seed"),
     "cost.lambda": (float, 0.1, "logistic ridge weight on w"),
@@ -74,22 +71,14 @@ CONFIG_KEYS: dict[str, tuple] = {
     "run.max_iters": (int, 20000, "iteration cap"),
     "run.tol": (float, 1e-10, "optimality-gap threshold for CONVERGED"),
     "run.record_every": (int, 1, "metric recording cadence"),
-    "run.engine": (str, "per-node", "per-node | augmented-oracle | addopt-nodelay"),
+    "run.engine": _choice(*optimizer.ENGINES),
     "run.init_seed": (int, 3, "initial-state seed"),
     "switching.enabled": (_parse_bool, False, "redraw the topology periodically"),
     "switching.period": (int, 2, "iterations between topology changes"),
-    "switching.mode": (str, "connected", "connected | b-connected"),
-    "sweep.tau_max": (_parse_int_list, (), "comma list of delay bounds to sweep"),
-    "sweep.alpha": (_parse_float_list, (), "comma list of step sizes to sweep"),
+    "switching.mode": _choice("connected", "b-connected"),
+    "sweep.tau_max": (partial(_parse_list, int), (), "comma list of delay bounds to sweep"),
+    "sweep.alpha": (partial(_parse_list, float), (), "comma list of step sizes to sweep"),
     "sweep.budget": (int, 64, "maximum number of sweep runs"),
-}
-
-_CHOICES = {
-    "graph.type": ("erdos-renyi", "exponential"),
-    "delay.mode": ("uniform-random", "homogeneous-max", "zero"),
-    "cost.type": ("quadratic", "least_squares", "logistic", "svm"),
-    "run.engine": tuple(optimizer.ENGINES),
-    "switching.mode": ("connected", "b-connected"),
 }
 
 
@@ -134,17 +123,21 @@ def validate_config(values: dict) -> ExperimentConfig:
     full: dict = {}
     for key, (parser, default, _help) in CONFIG_KEYS.items():
         v = values.get(key, default)
-        if isinstance(v, str):
+        if isinstance(v, str) and callable(parser):
             try:
                 v = parser(v)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"key {key!r}: {exc}") from None
         full[key] = v
-    for key, choices in _CHOICES.items():
-        if full[key] not in choices:
+    for key, (choices, _default, _help) in CONFIG_KEYS.items():
+        if isinstance(choices, tuple) and full[key] not in choices:
             raise ConfigError(f"key {key!r}: must be one of {choices}")
     if full["run.alpha"] <= 0:
         raise ConfigError("key 'run.alpha': must be positive")
+    if any(a <= 0 for a in full["sweep.alpha"]):
+        raise ConfigError("key 'sweep.alpha': every entry must be positive")
+    if any(t < 0 for t in full["sweep.tau_max"]):
+        raise ConfigError("key 'sweep.tau_max': every entry must be >= 0")
     if full["run.max_iters"] < 1:
         raise ConfigError("key 'run.max_iters': must be >= 1")
     if full["run.record_every"] < 1:
@@ -238,6 +231,7 @@ def build_graph(cfg: ExperimentConfig) -> graphs.DirectedGraph:
 
 
 def build_setting(cfg: ExperimentConfig) -> StaticSetting | SwitchingPlan:
+    """The switching plan of `cfg`, or its graph with its weights and delays."""
     if cfg.get("switching.enabled"):
         if cfg.get("graph.type") != "erdos-renyi":
             raise ConfigError("switching schedules support erdos-renyi graphs only")
@@ -251,12 +245,9 @@ def build_setting(cfg: ExperimentConfig) -> StaticSetting | SwitchingPlan:
             delay_mode=cfg.get("delay.mode"),
             delay_seed=cfg.get("delay.seed"),
         )
-    g = build_graph(cfg)
-    C = graphs.build_column_stochastic_weights(g)
-    d = delays.assign_delays(
-        g, cfg.get("delay.tau_max"), cfg.get("delay.mode"), cfg.get("delay.seed")
+    return StaticSetting.draw(
+        build_graph(cfg), cfg.get("delay.tau_max"), cfg.get("delay.mode"), cfg.get("delay.seed")
     )
-    return StaticSetting(weights=C, delays=d)
 
 
 def write_trace(records: list[TraceRecord], path: Path) -> None:
@@ -274,7 +265,6 @@ class RunSummary:
     iters: int
     final_gap: float
     final_mse: float
-    trace_path: str
 
     def as_csv_row(self) -> str:
         return (
@@ -314,29 +304,27 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunSummary
     with one delay map per swept delay bound.
 
     A sweep varies only `delay.tau_max` and `run.alpha`, so the problem and
-    the static graph and weights are built once; each bound draws its delay
-    map once, for its file and for all of its points."""
+    the static graph are built once; each bound draws its setting on that
+    graph once, for its delay file and for all of its points."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     tag = cfg.get("experiment.tag")
     taus = cfg.get("sweep.tau_max") or (cfg.get("delay.tau_max"),)
     alphas = cfg.get("sweep.alpha") or (cfg.get("run.alpha"),)
 
-    delay_maps = {}
+    settings = {}
     if not cfg.get("switching.enabled"):
         g = build_graph(cfg)
-        C = graphs.build_column_stochastic_weights(g)
         graphs.dump_edge_list(g, out / f"{tag}_graph.txt")
         for tau in taus:
-            d = delays.assign_delays(g, tau, cfg.get("delay.mode"), cfg.get("delay.seed"))
-            delays.dump_delay_map(d, out / f"{tag}_tau{tau}_delays.txt")
-            delay_maps[tau] = d
+            settings[tau] = StaticSetting.draw(g, tau, cfg.get("delay.mode"), cfg.get("delay.seed"))
+            delays.dump_delay_map(settings[tau].delays, out / f"{tag}_tau{tau}_delays.txt")
 
     problem = build_problem(cfg)
     summaries = []
     for tau in taus:
         # a switching plan holds no draws, so execute_run builds it per point
-        setting = StaticSetting(C, delay_maps[tau]) if delay_maps else None
+        setting = settings.get(tau)
         for alpha in alphas:
             sub = cfg.with_overrides(**{"delay.tau_max": tau, "run.alpha": alpha})
             result = execute_run(sub, problem, setting)
@@ -350,7 +338,6 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunSummary
                     iters=result.iters,
                     final_gap=result.final_gap,
                     final_mse=result.final_mse,
-                    trace_path=str(path),
                 )
             )
 
@@ -362,7 +349,8 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunSummary
 
 def compare_engines(cfg: ExperimentConfig, outdir: str | Path) -> dict:
     """Run the delayed per-node engine and the delay-free baseline on the
-    same problem and initialization; emit aligned gap-vs-iteration columns.
+    same problem, setting and initialization (the baseline ignores the
+    delays); emit aligned gap-vs-iteration columns.
 
     The CSV ends with a `status,...` row carrying each engine's outcome.
     """
@@ -370,9 +358,10 @@ def compare_engines(cfg: ExperimentConfig, outdir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     tag = cfg.get("experiment.tag")
     problem = build_problem(cfg)
-    delayed = execute_run(cfg.with_overrides(**{"run.engine": "per-node"}), problem)
+    setting = build_setting(cfg)
+    delayed = execute_run(cfg.with_overrides(**{"run.engine": "per-node"}), problem, setting)
     baseline = execute_run(
-        cfg.with_overrides(**{"run.engine": "addopt-nodelay", "delay.tau_max": 0}), problem
+        cfg.with_overrides(**{"run.engine": "addopt-nodelay"}), problem, setting
     )
     iters = sorted(
         {r.iter for r in delayed.records} | {r.iter for r in baseline.records}

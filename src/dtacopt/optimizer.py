@@ -52,6 +52,7 @@ from .delays import (
     build_delay_slices,
 )
 from .graphs import (
+    DirectedGraph,
     WeightMatrix,
     build_column_stochastic_weights,
     generate_erdos_renyi,
@@ -339,6 +340,15 @@ class StaticSetting:
     weights: WeightMatrix
     delays: DelayMap
 
+    @classmethod
+    def draw(
+        cls, g: DirectedGraph, tau_max: int, mode: str, seed, require_strong: bool = True
+    ) -> StaticSetting:
+        """Uniform push-sum weights on g, then a delay map drawn over its
+        links: the one way a setting is made from a graph."""
+        C = build_column_stochastic_weights(g, require_strong=require_strong)
+        return cls(weights=C, delays=assign_delays(g, tau_max, mode, seed))
+
 
 @dataclass(frozen=True)
 class SwitchingPlan:
@@ -371,14 +381,8 @@ class SwitchingPlan:
             np.random.SeedSequence([self.graph_seed, epoch]),
             require_strong=self.require_strong,
         )
-        C = build_column_stochastic_weights(g, require_strong=self.require_strong)
-        d = assign_delays(
-            g,
-            self.tau_max,
-            self.delay_mode,
-            np.random.SeedSequence([self.delay_seed, epoch]),
-        )
-        return StaticSetting(weights=C, delays=d)
+        seed = np.random.SeedSequence([self.delay_seed, epoch])
+        return StaticSetting.draw(g, self.tau_max, self.delay_mode, seed, self.require_strong)
 
 
 @dataclass

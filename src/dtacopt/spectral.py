@@ -21,6 +21,8 @@ This module certifies the quantities the convergence argument runs on:
   certification actually runs on;
 * the admissible step-size interval derived from a 3x3 comparison matrix
   G(alpha): alpha < min(alpha3, 1/(n(tau_max+1)l)) forces rho(G(alpha)) < 1.
+  `step_size_bound` and `build_G_H` both read one `SpectralConstants`
+  bundle, which `SpectralReport.constants(l, s)` builds.
 
 Trajectory-dependent constants (the sup-norms of the weight diagonal and its
 inverse, and the geometric envelope of its convergence) are measured from a
@@ -214,7 +216,9 @@ def measure_mixing_constants(aug: AugmentedMatrix) -> MixingConstants:
 
 @dataclass(frozen=True)
 class SpectralConstants:
-    """Everything the comparison-matrix machinery consumes."""
+    """Everything the comparison-matrix machinery consumes: the one bundle
+    that `step_size_bound` and `build_G_H` take, built by
+    `SpectralReport.constants` from a report and the cost's l and s."""
 
     n: int
     tau_max: int
@@ -244,19 +248,9 @@ class StepSizeBound:
         return 0.0 < alpha < self.admissible_max
 
 
-def step_size_bound(
-    n: int,
-    tau_max: int,
-    sigma: float,
-    kappa: float,
-    epsilon: float,
-    l: float,
-    s: float,
-    y: float,
-    y_minus: float,
-) -> StepSizeBound:
+def step_size_bound(cn: SpectralConstants) -> StepSizeBound:
     """Solve the unit-root equation of the comparison matrix for the largest
-    certified step size.
+    certified step size (gamma1 and envelope_T are not read).
 
     delta = n(tau_max+1) s eps l y_minus (1 - sigma + kappa)
     theta = eps l^2 y y_minus^2 (l + n(tau_max+1) s)
@@ -266,13 +260,15 @@ def step_size_bound(
     ValueError when alpha3 is not a finite positive float (e.g. the constants
     overflow).
     """
+    sigma, kappa, epsilon, y, y_minus = cn.sigma, cn.kappa, cn.epsilon, cn.y, cn.y_minus
+    l, s = cn.l, cn.s
     if min(kappa, epsilon, l, s, y, y_minus) <= 0:
         raise ValueError("all constants must be positive")
     if not (0.0 <= sigma < 1.0):
         raise ValueError(
             f"sigma={sigma:.6g} outside [0, 1): delays too large for a certified rate"
         )
-    m = n * (tau_max + 1)
+    m = cn.n * (cn.tau_max + 1)
     try:
         delta = m * s * epsilon * l * y_minus * (1.0 - sigma + kappa)
         theta = epsilon * l**2 * y * y_minus**2 * (l + m * s)
@@ -357,6 +353,13 @@ class SpectralReport:
     gamma1: float
     envelope_T: float
     perron: np.ndarray = field(repr=False)
+
+    def constants(self, l: float, s: float) -> SpectralConstants:
+        """This report's certificate constants, with the cost's smoothness l
+        and strong convexity s."""
+        mine = {f.name: getattr(self, f.name) for f in fields(SpectralConstants)
+                if f.name not in ("l", "s")}
+        return SpectralConstants(l=l, s=s, **mine)
 
     def lines(self) -> list[str]:
         pairs = self.as_pairs()

@@ -323,17 +323,8 @@ def test_criterion_09_step_size_certification():
         d = delays.assign_delays(g, tau, "uniform-random", seed=60 + trial)
         prob = costs.make_quadratic(n, 3, 70 + trial)
         rep = spectral.build_spectral_report(C.entries, d)
-        bound = spectral.step_size_bound(
-            n=n, tau_max=tau, sigma=rep.sigma, kappa=rep.kappa,
-            epsilon=rep.epsilon, l=prob.l, s=prob.s,
-            y=rep.y, y_minus=rep.y_minus,
-        )
-        cn = spectral.SpectralConstants(
-            n=n, tau_max=tau, sigma=rep.sigma, kappa=rep.kappa,
-            epsilon=rep.epsilon, l=prob.l, s=prob.s,
-            y=rep.y, y_minus=rep.y_minus,
-            gamma1=rep.gamma1, envelope_T=rep.envelope_T,
-        )
+        cn = rep.constants(prob.l, prob.s)
+        bound = spectral.step_size_bound(cn)
         rho0 = spectral.spectral_radius(spectral.build_G_H(0.0, 1, cn).G)
         ok = ok and rho0 >= 1.0 - 1e-12
         for frac in np.linspace(0.05, 0.999, 20):
@@ -354,11 +345,7 @@ def _certified_distributed_error(problem, n, tau, gseed, dseed):
     C = graphs.build_column_stochastic_weights(g)
     d = delays.assign_delays(g, tau, "uniform-random", seed=dseed)
     rep = spectral.build_spectral_report(C.entries, d)
-    bound = spectral.step_size_bound(
-        n=n, tau_max=tau, sigma=rep.sigma, kappa=rep.kappa,
-        epsilon=rep.epsilon, l=problem.l, s=problem.s,
-        y=rep.y, y_minus=rep.y_minus,
-    )
+    bound = spectral.step_size_bound(rep.constants(problem.l, problem.s))
     alpha = 0.99 * bound.admissible_max
     engine = DtacEngine(problem, init_states(problem, 3), C, d, alpha)
     err = np.inf

@@ -110,6 +110,22 @@ def test_sweep_subcommand_writes_summary(tmp_path, capsys):
     assert (tmp_path / "run_summary.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "sets,key",
+    [
+        (["sweep.tau_max=1,2", "sweep.alpha=0.004,-1"], "sweep.alpha"),
+        (["sweep.tau_max=1,-2"], "sweep.tau_max"),
+    ],
+)
+def test_bad_sweep_entry_exits_one_before_writing(sets, key, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["sweep", "--out", str(out)] + [a for kv in sets for a in ("--set", kv)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"key '{key}'" in err
+    assert not out.exists()
+
+
 def test_compare_subcommand(tmp_path, capsys):
     code = main(
         [

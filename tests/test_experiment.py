@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dtacopt import costs, delays, experiment, graphs
+from dtacopt import costs, experiment, graphs, optimizer
 from dtacopt.experiment import (
     ConfigError,
     apply_overrides,
@@ -248,10 +248,20 @@ def test_compare_builds_the_problem_once(monkeypatch, tmp_path):
     assert len(built) == 1
 
 
+def test_compare_draws_its_network_once(monkeypatch, tmp_path):
+    sampled = _count_calls(monkeypatch, graphs, "generate_erdos_renyi")
+    weighted = [
+        _count_calls(monkeypatch, module, "build_column_stochastic_weights")
+        for module in (graphs, optimizer)
+    ]
+    compare_engines(fast_config(**{"run.max_iters": 20}), tmp_path)
+    assert (len(sampled), sum(map(len, weighted))) == (1, 1)
+
+
 def test_sweep_builds_problem_and_graph_once_and_runs_every_point(monkeypatch, tmp_path):
     built = _count_calls(monkeypatch, costs, "make_quadratic")
     sampled = _count_calls(monkeypatch, graphs, "generate_erdos_renyi")
-    drawn = _count_calls(monkeypatch, delays, "assign_delays")
+    drawn = _count_calls(monkeypatch, optimizer, "assign_delays")  # where StaticSetting.draw looks
     points = _count_calls(monkeypatch, experiment, "execute_run")
     cfg = fast_config(**{"sweep.tau_max": (1, 2), "sweep.alpha": (0.003, 0.004), "run.max_iters": 20})
     run_experiment(cfg, tmp_path)

@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -29,17 +29,13 @@ from dtacopt.optimizer import (
 
 def make_setting(n, tau, gseed, dseed, p_edge=0.6, mode="uniform-random"):
     g = graphs.generate_erdos_renyi(n, p_edge, seed=gseed)
-    C = graphs.build_column_stochastic_weights(g)
-    d = delays.assign_delays(g, tau, mode, seed=dseed)
-    return StaticSetting(weights=C, delays=d)
+    return StaticSetting.draw(g, tau, mode, dseed)
 
 
 def make_circulant_setting(n, tau, dseed, hops=(1, 7)):
     """A sparse strongly connected setting: node i sends to i + h (mod n)."""
     g = graphs.DirectedGraph.from_edges((i, (i + h) % n) for i in range(n) for h in hops)
-    C = graphs.build_column_stochastic_weights(g)
-    d = delays.assign_delays(g, tau, "uniform-random", seed=dseed)
-    return StaticSetting(weights=C, delays=d)
+    return StaticSetting.draw(g, tau, "uniform-random", dseed)
 
 
 def multiplied_through_nonzeros(M):
@@ -446,18 +442,9 @@ def test_contraction_monitor_on_converged_certified_runs():
         setting = make_setting(n, tau, gseed, dseed, p_edge=0.7)
         prob = costs.make_quadratic(n, 3, cseed)
         report = spectral.build_spectral_report(setting.weights.entries, setting.delays)
-        bound = spectral.step_size_bound(
-            n=n, tau_max=tau, sigma=report.sigma, kappa=report.kappa,
-            epsilon=report.epsilon, l=prob.l, s=prob.s,
-            y=report.y, y_minus=report.y_minus,
-        )
-        alpha = 0.9 * bound.admissible_max
-        cn = spectral.SpectralConstants(
-            n=n, tau_max=tau, sigma=report.sigma_norm2, kappa=report.kappa,
-            epsilon=report.epsilon, l=prob.l, s=prob.s,
-            y=report.y, y_minus=report.y_minus,
-            gamma1=report.gamma1, envelope_T=report.envelope_T,
-        )
+        cn = report.constants(prob.l, prob.s)
+        alpha = 0.9 * spectral.step_size_bound(cn).admissible_max
+        cn = replace(cn, sigma=report.sigma_norm2)
         engine = AugmentedEngine(
             prob, init_states(prob, 3), setting.weights, setting.delays, alpha
         )

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,10 +87,10 @@ def test_periodic_chain_gets_no_certificate():
     sigma = contraction_sigma(swap)  # the eigenvalue -1 survives the projection
     assert sigma == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="outside"):
-        step_size_bound(2, 0, 1.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0)
+        step_size_bound(_cn(2, 0, 1.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0))
     # the computed sigma (the modulus of the eigenvalue -1) certifies nothing either
     with pytest.raises(ValueError, match="outside"):
-        step_size_bound(2, 0, sigma, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0)
+        step_size_bound(_cn(2, 0, sigma, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0))
 
 
 def test_limit_matrix_fixed_point_residuals():
@@ -301,20 +303,20 @@ def _report_and_problem(n=6, tau=2, gseed=50, dseed=60, cseed=70):
     return report, prob
 
 
-def _constants(report, prob, sigma=None):
-    return SpectralConstants(
-        n=report.n,
-        tau_max=report.tau_max,
-        sigma=report.sigma if sigma is None else sigma,
-        kappa=report.kappa,
-        epsilon=report.epsilon,
-        l=prob.l,
-        s=prob.s,
-        y=report.y,
-        y_minus=report.y_minus,
-        gamma1=report.gamma1,
-        envelope_T=report.envelope_T,
-    )
+def _cn(n, tau_max, sigma, kappa, epsilon, l, s, y, y_minus):
+    """The bundle of the nine constants `step_size_bound` reads; the pilot
+    fit (gamma1, envelope_T), which only `build_G_H` reads, is zero."""
+    return SpectralConstants(n, tau_max, sigma, kappa, epsilon, l, s, y, y_minus, 0.0, 0.0)
+
+
+def test_report_constants_copy_every_field_but_l_and_s():
+    report, prob = _report_and_problem()
+    cn = report.constants(prob.l, prob.s)
+    assert (cn.l, cn.s) == (prob.l, prob.s)
+    copied = ("n", "tau_max", "sigma", "kappa", "epsilon", "y", "y_minus", "gamma1", "envelope_T")
+    assert {f.name for f in fields(SpectralConstants)} == {*copied, "l", "s"}
+    for name in copied:
+        assert getattr(cn, name) == getattr(report, name), name
 
 
 def test_step_size_bound_tiny_theta_limit():
@@ -322,7 +324,7 @@ def test_step_size_bound_tiny_theta_limit():
     # expansion of the root, alpha3 = L (1 - a theta / (4 delta^2)) + O(theta^2)
     n, tau, sigma = 4, 1, 0.5
     kappa, eps, l, s, y, ym = 1.4, 1.1, 8.0, 1.0, 2.0, 3.0
-    b = step_size_bound(n, tau, sigma, kappa, eps, l, s, y, ym)
+    b = step_size_bound(_cn(n, tau, sigma, kappa, eps, l, s, y, ym))
     m = n * (tau + 1)
     a = 4 * m * s * (1 - sigma) ** 2
     delta = b.delta
@@ -341,7 +343,7 @@ def test_step_size_bound_tiny_theta_limit():
 def test_step_size_bound_vanishes_as_sigma_approaches_one():
     prev = None
     for sigma in (0.9, 0.99, 0.999, 0.9999):
-        b = step_size_bound(5, 2, sigma, 1.5, 1.2, 9.0, 1.0, 2.0, 4.0)
+        b = step_size_bound(_cn(5, 2, sigma, 1.5, 1.2, 9.0, 1.0, 2.0, 4.0))
         if prev is not None:
             assert b.alpha3 < prev
         prev = b.alpha3
@@ -350,15 +352,15 @@ def test_step_size_bound_vanishes_as_sigma_approaches_one():
 
 def test_step_size_bound_rejects_large_sigma_and_accepts_zero():
     with pytest.raises(ValueError):
-        step_size_bound(5, 2, 1.0, 1.5, 1.2, 9.0, 1.0, 2.0, 4.0)
-    b = step_size_bound(2, 0, 0.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0)
+        step_size_bound(_cn(5, 2, 1.0, 1.5, 1.2, 9.0, 1.0, 2.0, 4.0))
+    b = step_size_bound(_cn(2, 0, 0.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0))
     assert b.admissible_max > 0
 
 
 def test_step_size_bound_that_overflows_is_a_value_error():
     # y_minus near 1e160 squares past the float range inside delta**2
     with pytest.raises(ValueError, match="overflow"):
-        step_size_bound(5, 2, 0.5, 1.5, 1.2, 9.0, 1.0, 2.0, 1e160)
+        step_size_bound(_cn(5, 2, 0.5, 1.5, 1.2, 9.0, 1.0, 2.0, 1e160))
 
 
 def test_certified_interval_shrinks_with_delay_bound():
@@ -369,11 +371,7 @@ def test_certified_interval_shrinks_with_delay_bound():
     for tau in (0, 1, 3, 6, 10):
         d = assign_delays(g, tau, "uniform-random", seed=5)
         rep = build_spectral_report(C.entries, d)
-        b = step_size_bound(
-            n=8, tau_max=tau, sigma=rep.sigma, kappa=rep.kappa,
-            epsilon=rep.epsilon, l=prob.l, s=prob.s,
-            y=rep.y, y_minus=rep.y_minus,
-        )
+        b = step_size_bound(rep.constants(prob.l, prob.s))
         assert b.admissible_max < prev
         prev = b.admissible_max
     assert prev < 1e-4  # large delays certify only tiny steps
@@ -381,12 +379,8 @@ def test_certified_interval_shrinks_with_delay_bound():
 
 def test_comparison_matrix_certified_interval():
     report, prob = _report_and_problem()
-    bound = step_size_bound(
-        n=report.n, tau_max=report.tau_max, sigma=report.sigma,
-        kappa=report.kappa, epsilon=report.epsilon,
-        l=prob.l, s=prob.s, y=report.y, y_minus=report.y_minus,
-    )
-    cn = _constants(report, prob)
+    cn = report.constants(prob.l, prob.s)
+    bound = step_size_bound(cn)
     G0 = build_G_H(0.0, 1, cn).G
     eigs = np.sort(np.abs(np.linalg.eigvals(G0)))
     assert eigs[-1] == pytest.approx(1.0, abs=1e-12)  # eta = 1 at alpha = 0
@@ -398,7 +392,7 @@ def test_comparison_matrix_certified_interval():
 
 def test_comparison_matrix_unit_eigenvalue_derivative():
     report, prob = _report_and_problem()
-    cn = _constants(report, prob)
+    cn = report.constants(prob.l, prob.s)
     m = report.n * (report.tau_max + 1)
     h = 1e-9 / (m * prob.s)
     rho0 = spectral_radius(build_G_H(0.0, 1, cn).G)
@@ -409,7 +403,7 @@ def test_comparison_matrix_unit_eigenvalue_derivative():
 
 def test_H_decays_geometrically():
     report, prob = _report_and_problem()
-    cn = _constants(report, prob)
+    cn = report.constants(prob.l, prob.s)
     for k in (1, 2, 5, 11):
         Hk = build_G_H(0.01, k, cn).H_k
         Hk1 = build_G_H(0.01, k + 1, cn).H_k

@@ -2,11 +2,13 @@
 
     python tools/output_digests.py [ROOT]
 
-Runs each command below as `python -m dtacopt.cli ...` on the package in
-ROOT/src (default: the checkout this script is in), each in a fresh temporary
-directory that is also its `--out`.  For every command it prints the exit
-code, stdout and stderr with the temporary directory replaced by `<out>`, and
-`sha256 path` for every file the command wrote, in sorted order.
+Runs each entry below as `python -m dtacopt.cli ...` on the package in
+ROOT/src (default: the checkout this script is in), each entry in a fresh
+temporary directory that is also its `--out`; an entry of several commands
+runs them in order in the same directory, so a later one can read what an
+earlier one wrote.  For every command it prints the exit code, stdout and
+stderr with the temporary directory replaced by `<out>`, and then, for the
+entry, `sha256 path` for every file written, in sorted order.
 
 Two checkouts that print the same listing wrote the same bytes, the same
 `STATUS` lines and the same exit codes.  CI diffs the listing of a pull
@@ -30,11 +32,13 @@ from pathlib import Path
 LOGISTIC = ("--set", "graph.type=exponential", "--set", "graph.n=16",
             "--set", "cost.type=logistic", "--set", "delay.tau_max=3")
 
-# (name, argv): the README commands, one run under each engine and cost family,
-# a large sparse run whose products take the nonzero (bincount) route, a
-# one-point sweep that writes the edge list, delay map and trace of an
+# (name, argv, ...): the README commands, one run under each engine and cost
+# family, a large sparse run whose products take the nonzero (bincount) route,
+# a one-point sweep that writes the edge list, delay map and trace of an
 # exponential graph whose hops wrap unevenly (n=257) on least-squares costs,
-# and a graph that cannot be sampled strongly connected (exit 1)
+# a switching compare and sweep, a sweep whose graph and delay files
+# `spectral` then certifies, and a graph that cannot be sampled strongly
+# connected (exit 1)
 COMMANDS = (
     ("run", ("run",)),
     ("run-oracle", ("run", "--set", "run.engine=augmented-oracle")),
@@ -54,6 +58,13 @@ COMMANDS = (
     ("sweep-exponential", ("sweep", "--set", "graph.type=exponential", "--set", "graph.n=257",
                            "--set", "cost.type=least_squares", "--set", "run.max_iters=5")),
     ("compare-logistic", ("compare", *LOGISTIC)),
+    ("compare-switching", ("compare", "--set", "switching.enabled=true")),
+    ("sweep-switching", ("sweep", "--set", "switching.enabled=true",
+                         "--set", "sweep.tau_max=2,4", "--set", "sweep.alpha=0.002,0.005",
+                         "--set", "run.max_iters=1500")),
+    ("sweep-then-spectral", ("sweep", "--set", "delay.tau_max=3", "--set", "run.max_iters=100"),
+     ("spectral", "--graph-file", "run_graph.txt", "--delay-file", "run_tau3_delays.txt",
+      "--record")),
     ("spectral", ("spectral", "--set", "delay.tau_max=5", "--record")),
     ("check-bound", ("check-bound", "--set", "run.alpha=0.001")),
     ("config-error", ("run", "--set", "graph.n=30", "--set", "graph.p=0.01")),
@@ -65,16 +76,17 @@ NO_OUT = ("spectral", "check-bound")  # subcommands without --out
 def digest_lines(root: Path) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     lines = []
-    for name, argv in COMMANDS:
+    for name, *argvs in COMMANDS:
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp).resolve()
-            cmd = [sys.executable, "-m", "dtacopt.cli", *argv]
-            if argv[0] not in NO_OUT:
-                cmd += ["--out", str(out)]
-            proc = subprocess.run(cmd, cwd=out, env=env, capture_output=True, text=True)
-            lines.append(f"== {name}: exit {proc.returncode}")
-            for stream, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
-                lines += [f"{stream}: {ln}" for ln in text.replace(str(out), "<out>").splitlines()]
+            for argv in argvs:
+                cmd = [sys.executable, "-m", "dtacopt.cli", *argv]
+                if argv[0] not in NO_OUT:
+                    cmd += ["--out", str(out)]
+                proc = subprocess.run(cmd, cwd=out, env=env, capture_output=True, text=True)
+                lines.append(f"== {name}: exit {proc.returncode}")
+                for stream, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
+                    lines += [f"{stream}: {ln}" for ln in text.replace(str(out), "<out>").splitlines()]
             for path in sorted(p for p in out.rglob("*") if p.is_file()):
                 sha = hashlib.sha256(path.read_bytes()).hexdigest()
                 lines.append(f"{sha} {path.relative_to(out)}")
