@@ -132,9 +132,9 @@ def validate_config(values: dict) -> ExperimentConfig:
     for key, (choices, _default, _help) in CONFIG_KEYS.items():
         if isinstance(choices, tuple) and full[key] not in choices:
             raise ConfigError(f"key {key!r}: must be one of {choices}")
-    if full["run.alpha"] <= 0:
+    if not full["run.alpha"] > 0:  # NaN fails too
         raise ConfigError("key 'run.alpha': must be positive")
-    if any(a <= 0 for a in full["sweep.alpha"]):
+    if not all(a > 0 for a in full["sweep.alpha"]):
         raise ConfigError("key 'sweep.alpha': every entry must be positive")
     if any(t < 0 for t in full["sweep.tau_max"]):
         raise ConfigError("key 'sweep.tau_max': every entry must be >= 0")

@@ -59,6 +59,10 @@ def test_config_text_parsing_and_unknown_keys():
 def test_config_validation_errors_name_the_key():
     with pytest.raises(ConfigError, match="run.alpha"):
         validate_config({"run.alpha": "-1"})
+    with pytest.raises(ConfigError, match="run.alpha"):
+        validate_config({"run.alpha": "nan"})
+    with pytest.raises(ConfigError, match="sweep.alpha"):
+        validate_config({"sweep.alpha": "0.1,nan"})
     with pytest.raises(ConfigError, match="graph.p"):
         validate_config({"graph.p": "1.5"})
     with pytest.raises(ConfigError, match="run.engine"):
