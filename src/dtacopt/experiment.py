@@ -312,19 +312,17 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunSummary
     taus = cfg.get("sweep.tau_max") or (cfg.get("delay.tau_max"),)
     alphas = cfg.get("sweep.alpha") or (cfg.get("run.alpha"),)
 
-    settings = {}
-    if not cfg.get("switching.enabled"):
-        g = build_graph(cfg)
+    g = None if cfg.get("switching.enabled") else build_graph(cfg)
+    if g is not None:
         graphs.dump_edge_list(g, out / f"{tag}_graph.txt")
-        for tau in taus:
-            settings[tau] = StaticSetting.draw(g, tau, cfg.get("delay.mode"), cfg.get("delay.seed"))
-            delays.dump_delay_map(settings[tau].delays, out / f"{tag}_tau{tau}_delays.txt")
-
     problem = build_problem(cfg)
     summaries = []
     for tau in taus:
         # a switching plan holds no draws, so execute_run builds it per point
-        setting = settings.get(tau)
+        setting = None
+        if g is not None:
+            setting = StaticSetting.draw(g, tau, cfg.get("delay.mode"), cfg.get("delay.seed"))
+            delays.dump_delay_map(setting.delays, out / f"{tag}_tau{tau}_delays.txt")
         for alpha in alphas:
             sub = cfg.with_overrides(**{"delay.tau_max": tau, "run.alpha": alpha})
             result = execute_run(sub, problem, setting)
