@@ -140,13 +140,10 @@ def cmd_check_bound(args) -> int:
     return EXIT_OK
 
 
-def _suite_weights(fault: str | None) -> None:
+def _suite_weights() -> None:
     for seed in (7, 8):
         g = graphs.generate_erdos_renyi(8, 0.4, seed)
-        C = graphs.build_column_stochastic_weights(g)
-        entries = C.entries.copy()
-        if fault == "weights":
-            entries[0, 0] += 1e-6
+        entries = graphs.build_column_stochastic_weights(g).entries
         colsums = entries.sum(axis=0)
         if np.max(np.abs(colsums - 1.0)) > 1e-12:
             raise AssertionError("weight matrix columns drifted from 1")
@@ -157,7 +154,7 @@ def _suite_weights(fault: str | None) -> None:
             raise AssertionError("missing weight on an edge")
 
 
-def _suite_gradients(fault: str | None) -> None:
+def _suite_gradients() -> None:
     probs = [
         costs.make_quadratic(3, 4, 0),
         costs.make_least_squares(3, 3, 5, 1),
@@ -181,14 +178,12 @@ def _suite_gradients(fault: str | None) -> None:
         # the einsum path the engines run, against the per-node products of round 0
         Z = rng.standard_normal((prob.n, prob.dim))
         G = prob.grads(Z)
-        if fault == "gradients":
-            G[0, 0] += 1e-6
         ref = prob.start_grads(Z)
         if np.max(np.abs(G - ref)) > 1e-12 * (1.0 + np.max(np.abs(ref))):
             raise AssertionError("batched grads disagree with the round-0 gradients")
 
 
-def _suite_reduction(fault: str | None) -> None:
+def _suite_reduction() -> None:
     setting = StaticSetting.draw(graphs.generate_erdos_renyi(6, 0.5, 11), 0, "zero", 0)
     prob = costs.make_quadratic(6, 3, 5)
     base, *delayed = (
@@ -203,7 +198,7 @@ def _suite_reduction(fault: str | None) -> None:
                 raise AssertionError("zero-delay engine is not bitwise equal to the baseline")
 
 
-def _suite_equivalence(fault: str | None) -> None:
+def _suite_equivalence() -> None:
     for n, tau, seed in ((4, 2, 12), (6, 3, 13)):
         g = graphs.generate_erdos_renyi(n, 0.6, seed)
         setting = StaticSetting.draw(g, tau, "uniform-random", seed)
@@ -218,7 +213,7 @@ def _suite_equivalence(fault: str | None) -> None:
                 raise AssertionError("per-node and matrix-form engines disagree")
 
 
-def _suite_conservation(fault: str | None) -> None:
+def _suite_conservation() -> None:
     setting = StaticSetting.draw(graphs.generate_erdos_renyi(8, 0.5, 21), 4, "uniform-random", 22)
     prob = costs.make_quadratic(8, 3, 23)
     e = optimizer.DtacEngine(
@@ -233,7 +228,7 @@ def _suite_conservation(fault: str | None) -> None:
             raise AssertionError("tracker mass drifted from gradient mass")
 
 
-def _suite_spectral_bound(fault: str | None) -> None:
+def _suite_spectral_bound() -> None:
     rng = np.random.default_rng(31)
     for trial in range(20):
         n = 6
@@ -259,13 +254,13 @@ SELFTEST_SUITES = (
 )
 
 
-def run_selftest(inject_fault: str | None = None) -> tuple[bool, list[str]]:
+def run_selftest() -> tuple[bool, list[str]]:
     lines = []
     all_ok = True
     for name, suite in SELFTEST_SUITES:
         t0 = time.perf_counter()
         try:
-            suite(inject_fault)
+            suite()
             status = "PASS"
         except AssertionError as exc:
             status = f"FAIL ({exc})"
@@ -280,7 +275,7 @@ def run_selftest(inject_fault: str | None = None) -> tuple[bool, list[str]]:
 
 
 def cmd_selftest(args) -> int:
-    ok, lines = run_selftest(getattr(args, "inject_fault", None))
+    ok, lines = run_selftest()
     for line in lines:
         print(line)
     if not ok:
@@ -366,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.set_defaults(func=cmd_check_bound)
 
     p_self = sub.add_parser("selftest", help="run the built-in invariant suites")
-    p_self.add_argument("--inject-fault", help=argparse.SUPPRESS)
     p_self.set_defaults(func=cmd_selftest)
     return parser
 

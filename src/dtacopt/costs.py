@@ -276,6 +276,8 @@ def make_least_squares(
 ) -> GlobalProblem:
     """n local least-squares blocks H_i z = b_i (optionally ridge-regularized
     per agent); the optimum solves the normal equations of the stacked system."""
+    if not ridge >= 0:
+        raise ValueError("ridge must be >= 0")
     if n * rows_per_agent < p:
         raise ValueError("stacked system must be overdetermined: n*rows >= p")
     rng = np.random.default_rng(seed)
@@ -327,7 +329,7 @@ def make_logistic(
     State is (w; b), p+1 dimensional.  lam > 0 regularizes w only; the data
     always mixes labels, which keeps the bias direction coercive.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     if samples_per_agent < 2:
         raise ValueError("need at least 2 samples per agent to mix labels")
@@ -355,8 +357,10 @@ def make_smooth_svm(
     margin_weight = 0 degenerates to the pure ridge; by convention the free
     offset is pinned at 0 there and the optimum is exactly the origin.
     """
-    if margin_weight < 0 or smoothness <= 0:
+    if not (margin_weight >= 0 and smoothness > 0):
         raise ValueError("need margin_weight >= 0 and smoothness > 0")
+    if samples_per_agent < 2:
+        raise ValueError("need at least 2 samples per agent to mix labels")
     F, Y = _two_cluster_data(n, p, samples_per_agent, seed, separation)
     l = 2.0 + margin_weight * smoothness / 4.0 * _gram_top(F, -1.0)
     problem = _SvmProblem(F, Y, margin_weight, smoothness, np.full(n, 2.0), l)

@@ -8,7 +8,8 @@ reproduces its CSVs byte for byte.  A sweep crosses `sweep.tau_max` with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -41,44 +42,61 @@ def _parse_list(item, text: str) -> tuple:
     return tuple(item(part) for part in text.split(",")) if text else ()
 
 
+def _at_least(low) -> tuple:
+    return (lambda v: v >= low, f"must be >= {low}")
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+
+
 def _choice(*names: str) -> tuple:
     """A key that takes one of `names`; the first is its default."""
-    return (names, names[0], " | ".join(names))
+    return (str, names[0], " | ".join(names), (names.__contains__, f"must be one of {names}"))
 
 
-# key -> (parser, or the tuple of a choice key's values; default; help)
+# key -> (parser, default, help, rule).  A rule is (test, phrase): every value
+# must pass the test, and comparisons are written so that NaN fails them; a
+# sweep list applies it to each entry.  Only str and bool keys have none.
 CONFIG_KEYS: dict[str, tuple] = {
-    "experiment.tag": (str, "run", "prefix for output file names"),
+    "experiment.tag": (str, "run", "prefix for output file names", None),
     "graph.type": _choice("erdos-renyi", "exponential"),
-    "graph.n": (int, 10, "number of nodes"),
-    "graph.p": (float, 0.5, "edge probability for erdos-renyi"),
-    "graph.seed": (int, 8, "graph sampling seed"),
-    "delay.tau_max": (int, 5, "delay bound (0 disables delays)"),
+    "graph.n": (int, 10, "number of nodes", (lambda v: v >= 2, "need at least 2 nodes")),
+    "graph.p": (
+        float, 0.5, "edge probability for erdos-renyi", (lambda v: 0 < v <= 1, "must be in (0, 1]")
+    ),
+    "graph.seed": (int, 8, "graph sampling seed", _at_least(0)),
+    "delay.tau_max": (int, 5, "delay bound (0 disables delays)", _at_least(0)),
     "delay.mode": _choice("uniform-random", "homogeneous-max", "zero"),
-    "delay.seed": (int, 145, "delay sampling seed"),
+    "delay.seed": (int, 145, "delay sampling seed", _at_least(0)),
     "cost.type": _choice("quadratic", "least_squares", "logistic", "svm"),
-    "cost.dim": (int, 5, "state dimension (feature dim for logistic/svm)"),
-    "cost.seed": (int, 42, "cost sampling seed"),
-    "cost.lambda": (float, 0.1, "logistic ridge weight on w"),
-    "cost.samples_per_agent": (int, 50, "samples per agent (logistic/svm)"),
-    "cost.rows_per_agent": (int, 8, "rows per agent (least squares)"),
-    "cost.ridge": (float, 0.0, "per-agent ridge (least squares)"),
-    "cost.margin": (float, 1.0, "margin weight C (svm)"),
-    "cost.smoothness": (float, 5.0, "hinge smoothing mu (svm)"),
-    "cost.mean_scaled": (_parse_bool, True, "scale logistic loss by 1/m_i"),
-    "cost.separation": (float, 2.0, "cluster separation (logistic/svm)"),
-    "run.alpha": (float, 0.005, "gradient-tracking step size"),
-    "run.max_iters": (int, 20000, "iteration cap"),
-    "run.tol": (float, 1e-10, "optimality-gap threshold for CONVERGED"),
-    "run.record_every": (int, 1, "metric recording cadence"),
+    "cost.dim": (int, 5, "state dimension (feature dim for logistic/svm)", _at_least(1)),
+    "cost.seed": (int, 42, "cost sampling seed", _at_least(0)),
+    "cost.lambda": (float, 0.1, "logistic ridge weight on w", _POSITIVE),
+    "cost.samples_per_agent": (int, 50, "samples per agent (logistic/svm)", _at_least(2)),
+    "cost.rows_per_agent": (int, 8, "rows per agent (least squares)", _at_least(1)),
+    "cost.ridge": (float, 0.0, "per-agent ridge (least squares)", _at_least(0)),
+    "cost.margin": (float, 1.0, "margin weight C (svm)", _at_least(0)),
+    "cost.smoothness": (float, 5.0, "hinge smoothing mu (svm)", _POSITIVE),
+    "cost.mean_scaled": (_parse_bool, True, "scale logistic loss by 1/m_i", None),
+    "cost.separation": (
+        float, 2.0, "cluster separation (logistic/svm)", (math.isfinite, "must be finite")
+    ),
+    "run.alpha": (float, 0.005, "gradient-tracking step size", _POSITIVE),
+    "run.max_iters": (int, 20000, "iteration cap", _at_least(1)),
+    "run.tol": (float, 1e-10, "optimality-gap threshold for CONVERGED", _at_least(0)),
+    "run.record_every": (int, 1, "metric recording cadence", _at_least(1)),
     "run.engine": _choice(*optimizer.ENGINES),
-    "run.init_seed": (int, 3, "initial-state seed"),
-    "switching.enabled": (_parse_bool, False, "redraw the topology periodically"),
-    "switching.period": (int, 2, "iterations between topology changes"),
+    "run.init_seed": (int, 3, "initial-state seed", _at_least(0)),
+    "switching.enabled": (_parse_bool, False, "redraw the topology periodically", None),
+    "switching.period": (int, 2, "iterations between topology changes", _at_least(1)),
     "switching.mode": _choice("connected", "b-connected"),
-    "sweep.tau_max": (partial(_parse_list, int), (), "comma list of delay bounds to sweep"),
-    "sweep.alpha": (partial(_parse_list, float), (), "comma list of step sizes to sweep"),
-    "sweep.budget": (int, 64, "maximum number of sweep runs"),
+    "sweep.tau_max": (
+        partial(_parse_list, int), (), "comma list of delay bounds to sweep", _at_least(0)
+    ),
+    "sweep.alpha": (
+        partial(_parse_list, float), (), "comma list of step sizes to sweep", _POSITIVE
+    ),
+    "sweep.budget": (int, 64, "maximum number of sweep runs", _at_least(1)),
 }
 
 
@@ -121,37 +139,21 @@ def validate_config(values: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r}")
     full: dict = {}
-    for key, (parser, default, _help) in CONFIG_KEYS.items():
+    for key, (parser, default, _help, rule) in CONFIG_KEYS.items():
         v = values.get(key, default)
-        if isinstance(v, str) and callable(parser):
+        if isinstance(v, str):
             try:
                 v = parser(v)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"key {key!r}: {exc}") from None
+        if rule is not None:
+            test, phrase = rule
+            if isinstance(v, tuple):  # a sweep list: the rule holds for each entry
+                if not all(map(test, v)):
+                    raise ConfigError(f"key {key!r}: every entry {phrase}")
+            elif not test(v):
+                raise ConfigError(f"key {key!r}: {phrase}")
         full[key] = v
-    for key, (choices, _default, _help) in CONFIG_KEYS.items():
-        if isinstance(choices, tuple) and full[key] not in choices:
-            raise ConfigError(f"key {key!r}: must be one of {choices}")
-    if not full["run.alpha"] > 0:  # NaN fails too
-        raise ConfigError("key 'run.alpha': must be positive")
-    if not all(a > 0 for a in full["sweep.alpha"]):
-        raise ConfigError("key 'sweep.alpha': every entry must be positive")
-    if any(t < 0 for t in full["sweep.tau_max"]):
-        raise ConfigError("key 'sweep.tau_max': every entry must be >= 0")
-    if full["run.max_iters"] < 1:
-        raise ConfigError("key 'run.max_iters': must be >= 1")
-    if full["run.record_every"] < 1:
-        raise ConfigError("key 'run.record_every': must be >= 1")
-    if full["graph.n"] < 2:
-        raise ConfigError("key 'graph.n': need at least 2 nodes")
-    if not (0.0 < full["graph.p"] <= 1.0):
-        raise ConfigError("key 'graph.p': must be in (0, 1]")
-    if full["delay.tau_max"] < 0:
-        raise ConfigError("key 'delay.tau_max': must be >= 0")
-    if full["switching.period"] < 1:
-        raise ConfigError("key 'switching.period': must be >= 1")
-    if full["cost.dim"] < 1:
-        raise ConfigError("key 'cost.dim': must be >= 1")
     n_sweep = max(1, len(full["sweep.tau_max"])) * max(1, len(full["sweep.alpha"]))
     if n_sweep > full["sweep.budget"]:
         raise ConfigError(
@@ -183,7 +185,7 @@ def apply_overrides(cfg: ExperimentConfig, pairs: list[str]) -> ExperimentConfig
 def config_help_lines() -> list[str]:
     width = max(len(k) for k in CONFIG_KEYS)
     out = []
-    for key, (_parser, default, help_text) in CONFIG_KEYS.items():
+    for key, (_parser, default, help_text, _rule) in CONFIG_KEYS.items():
         out.append(f"  {key:<{width}}  (default {default!r}) {help_text}")
     return out
 
@@ -287,14 +289,7 @@ def execute_run(
         problem = build_problem(cfg)
     if setting is None:
         setting = build_setting(cfg)
-    run_cfg = RunConfig(
-        alpha=cfg.get("run.alpha"),
-        max_iters=cfg.get("run.max_iters"),
-        tol=cfg.get("run.tol"),
-        record_every=cfg.get("run.record_every"),
-        engine=cfg.get("run.engine"),
-        init_seed=cfg.get("run.init_seed"),
-    )
+    run_cfg = RunConfig(**{f.name: cfg.get(f"run.{f.name}") for f in fields(RunConfig)})
     return optimizer.run(run_cfg, setting, problem)
 
 
@@ -306,16 +301,15 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunSummary
     A sweep varies only `delay.tau_max` and `run.alpha`, so the problem and
     the static graph are built once; each bound draws its setting on that
     graph once, for its delay file and for all of its points."""
+    problem = build_problem(cfg)  # first: its cross-key errors come before any write
+    g = None if cfg.get("switching.enabled") else build_graph(cfg)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     tag = cfg.get("experiment.tag")
     taus = cfg.get("sweep.tau_max") or (cfg.get("delay.tau_max"),)
     alphas = cfg.get("sweep.alpha") or (cfg.get("run.alpha"),)
-
-    g = None if cfg.get("switching.enabled") else build_graph(cfg)
     if g is not None:
         graphs.dump_edge_list(g, out / f"{tag}_graph.txt")
-    problem = build_problem(cfg)
     summaries = []
     for tau in taus:
         # a switching plan holds no draws, so execute_run builds it per point

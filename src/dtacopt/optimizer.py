@@ -323,14 +323,14 @@ DIVERGENCE_MSE = 1e12
 
 @dataclass
 class RunConfig:
-    """Knobs of a single run; `experiment.validate_config` checks them."""
+    """Knobs of a single run: the `run.*` rows of `experiment.CONFIG_KEYS`."""
 
     alpha: float
-    max_iters: int = 20000
-    tol: float = 1e-10
-    record_every: int = 1
-    engine: str = "per-node"
-    init_seed: int = 3
+    max_iters: int
+    tol: float
+    record_every: int
+    engine: str
+    init_seed: int
 
 
 @dataclass(frozen=True)

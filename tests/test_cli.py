@@ -1,6 +1,7 @@
 import ast
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -115,6 +116,16 @@ def test_sweep_subcommand_writes_summary(tmp_path, capsys):
     [
         (["sweep.tau_max=1,2", "sweep.alpha=0.004,-1"], "sweep.alpha"),
         (["sweep.tau_max=1,-2"], "sweep.tau_max"),
+        (["delay.seed=-1"], "delay.seed"),
+        (["run.init_seed=-1"], "run.init_seed"),
+        (["cost.type=logistic", "cost.lambda=-1"], "cost.lambda"),
+        (["cost.type=logistic", "cost.lambda=nan"], "cost.lambda"),
+        (["cost.type=svm", "cost.smoothness=nan"], "cost.smoothness"),
+        (["cost.type=svm", "cost.samples_per_agent=1"], "cost.samples_per_agent"),
+        (["run.tol=nan"], "run.tol"),
+        (["run.tol=-1"], "run.tol"),
+        # each value is in range; the builder finds n*rows < p
+        (["cost.type=least_squares", "cost.rows_per_agent=1", "cost.dim=20"], None),
     ],
 )
 def test_bad_sweep_entry_exits_one_before_writing(sets, key, tmp_path, capsys):
@@ -122,7 +133,8 @@ def test_bad_sweep_entry_exits_one_before_writing(sets, key, tmp_path, capsys):
     code = main(["sweep", "--out", str(out)] + [a for kv in sets for a in ("--set", kv)])
     err = capsys.readouterr().err
     assert code == 1
-    assert f"key '{key}'" in err
+    assert err.startswith("config error: ")
+    assert key is None or f"key '{key}'" in err
     assert not out.exists()
 
 
@@ -394,16 +406,36 @@ def test_selftest_passes_and_is_deterministic(capsys):
     assert "FAIL" not in first
 
 
-def test_selftest_fault_injection_trips_weight_suite(capsys):
-    code = main(["selftest", "--inject-fault", "weights"])
+def test_selftest_fault_injection_trips_weight_suite(monkeypatch, capsys):
+    from dtacopt import cli
+
+    build = cli.graphs.build_column_stochastic_weights
+
+    def drifted(g):
+        entries = build(g).entries.copy()
+        entries[0, 0] += 1e-6
+        return SimpleNamespace(entries=entries)  # a WeightMatrix would refuse it
+
+    monkeypatch.setattr(cli.graphs, "build_column_stochastic_weights", drifted)
+    code = main(["selftest"])
     captured = capsys.readouterr()
     assert code == 4
     assert "column-stochasticity" in captured.err
     assert "FAIL" in captured.out
 
 
-def test_selftest_fault_injection_trips_gradient_suite(capsys):
-    code = main(["selftest", "--inject-fault", "gradients"])
+def test_selftest_fault_injection_trips_gradient_suite(monkeypatch, capsys):
+    from dtacopt import costs
+
+    grads = costs.GlobalProblem.grads
+
+    def drifted(self, Z):
+        G = grads(self, Z)
+        G[0, 0] += 1e-6
+        return G
+
+    monkeypatch.setattr(costs.GlobalProblem, "grads", drifted)
+    code = main(["selftest"])
     captured = capsys.readouterr()
     assert code == 4
     assert "selftest failed: gradient-check" in captured.err
@@ -413,7 +445,7 @@ def test_selftest_fault_injection_trips_gradient_suite(capsys):
 def test_selftest_suite_that_raises_fails_with_exit_four(monkeypatch, capsys):
     from dtacopt import cli
 
-    def singular(inject_fault):
+    def singular():
         np.linalg.solve(np.zeros((2, 2)), np.ones(2))
 
     monkeypatch.setattr(cli, "SELFTEST_SUITES", [("singular", singular)])
@@ -426,7 +458,7 @@ def test_selftest_suite_that_raises_fails_with_exit_four(monkeypatch, capsys):
 
 
 def test_selftest_helper_reports_suite_lines():
-    ok, lines = run_selftest(None)
+    ok, lines = run_selftest()
     assert ok
     assert len(lines) == 6
 

@@ -163,6 +163,12 @@ def test_least_squares_rejects_underdetermined_system():
         make_least_squares(1, 5, 2, 0)  # 2 rows < 5 unknowns
 
 
+@pytest.mark.parametrize("ridge", [-5.0, float("nan")])
+def test_least_squares_rejects_a_ridge_below_zero(ridge):
+    with pytest.raises(ValueError, match="ridge must be >= 0"):
+        make_least_squares(3, 2, 4, 0, ridge=ridge)
+
+
 def test_logistic_single_sample_bisection_oracle():
     """No-offset logistic with one (+1, c=1) sample and lam=1:
     f(w) = log(1 + exp(-w)) + w^2 / 2, whose optimum solves w = sigmoid(-w)
@@ -194,6 +200,26 @@ def test_logistic_rejects_bad_params():
         make_logistic(3, 3, 16, 0.0, 0)
     with pytest.raises(ValueError):
         make_logistic(3, 3, 1, 0.1, 0)
+
+
+def test_logistic_rejects_a_nan_weight_before_its_oracle():
+    with pytest.raises(ValueError, match="lam must be positive"):
+        make_logistic(3, 3, 16, float("nan"), 0)
+
+
+@pytest.mark.parametrize(
+    "samples,margin,smoothness",
+    [
+        (16, float("nan"), 5.0),
+        (16, -1.0, 5.0),
+        (16, 1.0, float("nan")),
+        (16, 1.0, 0.0),
+        (1, 1.0, 5.0),  # one sample per agent cannot mix labels
+    ],
+)
+def test_svm_rejects_bad_params_before_its_oracle(samples, margin, smoothness):
+    with pytest.raises(ValueError):
+        make_smooth_svm(3, 3, samples, margin, smoothness, 0)
 
 
 def test_svm_zero_margin_weight_is_pure_ridge():

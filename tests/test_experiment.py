@@ -1,8 +1,13 @@
+import re
+from dataclasses import fields
+from functools import partial
+
 import numpy as np
 import pytest
 
 from dtacopt import costs, experiment, graphs, optimizer
 from dtacopt.experiment import (
+    CONFIG_KEYS,
     ConfigError,
     apply_overrides,
     build_problem,
@@ -15,7 +20,7 @@ from dtacopt.experiment import (
     run_experiment,
     validate_config,
 )
-from dtacopt.optimizer import StaticSetting, SwitchingPlan
+from dtacopt.optimizer import RunConfig, StaticSetting, SwitchingPlan
 
 FAST = {
     "graph.n": 6,
@@ -75,6 +80,21 @@ def test_config_validation_errors_name_the_key():
         validate_config(
             {"sweep.tau_max": "1,2,3,4,5,6,7,8,9", "sweep.alpha": "0.1," * 7 + "0.2", "sweep.budget": "8"}
         )
+
+
+def test_every_numeric_key_has_a_rule_that_nan_and_negatives_fail():
+    for key, (parser, _default, _help, rule) in CONFIG_KEYS.items():
+        item = parser.args[0] if isinstance(parser, partial) else parser  # a sweep list's entries
+        if item not in (int, float):
+            continue
+        assert rule is not None, key
+        with pytest.raises(ConfigError, match=f"^key '{re.escape(key)}': "):
+            validate_config({key: "nan" if item is float else "-1"})
+
+
+def test_run_config_fields_are_the_run_keys():
+    run_keys = {key for key in CONFIG_KEYS if key.startswith("run.")}
+    assert {f"run.{f.name}" for f in fields(RunConfig)} == run_keys
 
 
 def test_overrides_apply_after_load():

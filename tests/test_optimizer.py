@@ -284,7 +284,9 @@ def test_engine_fault_on_nonpositive_weight():
 def test_delayed_convergence_on_er_instance():
     setting = make_setting(10, 5, 8, 145, p_edge=0.5)
     prob = costs.make_quadratic(10, 5, 42)
-    cfg = RunConfig(alpha=0.005, max_iters=5000, tol=1e-14, engine="per-node", init_seed=3)
+    cfg = RunConfig(
+        alpha=0.005, max_iters=5000, tol=1e-14, record_every=1, engine="per-node", init_seed=3
+    )
     result = run(cfg, setting, prob)
     assert result.iters <= 5000
     assert result.final_gap < 1e-8
@@ -295,7 +297,9 @@ def test_run_statuses_and_divergence_marker():
     setting = make_setting(10, 15, 8, 145, p_edge=0.5)
     prob = costs.make_quadratic(10, 5, 42)
     diverged = run(
-        RunConfig(alpha=0.005, max_iters=3000, engine="per-node", init_seed=3),
+        RunConfig(
+            alpha=0.005, max_iters=3000, tol=1e-10, record_every=1, engine="per-node", init_seed=3
+        ),
         setting,
         prob,
     )
@@ -308,7 +312,9 @@ def test_run_statuses_and_divergence_marker():
 def test_run_convergence_status_and_trace_cadence():
     setting = make_setting(6, 2, 31, 32)
     prob = costs.make_quadratic(6, 3, 33)
-    cfg = RunConfig(alpha=0.004, max_iters=20000, tol=1e-9, record_every=50, init_seed=3)
+    cfg = RunConfig(
+        alpha=0.004, max_iters=20000, tol=1e-9, record_every=50, engine="per-node", init_seed=3
+    )
     result = run(cfg, setting, prob)
     assert result.status == "CONVERGED"
     assert result.final_gap < 1e-9
@@ -327,7 +333,9 @@ def test_switching_plan_converges_and_preserves_mass():
         tau_max=3, delay_mode="uniform-random", delay_seed=14,
     )
     prob = costs.make_quadratic(8, 3, 15)
-    cfg = RunConfig(alpha=0.004, max_iters=15000, tol=1e-9, init_seed=3)
+    cfg = RunConfig(
+        alpha=0.004, max_iters=15000, tol=1e-9, record_every=1, engine="per-node", init_seed=3
+    )
     result = run(cfg, plan, prob)
     assert result.status == "CONVERGED"
     assert max(rec.mass_error for rec in result.records) < 1e-10
@@ -377,7 +385,13 @@ def test_run_switches_topology_on_every_engine():
     )
     prob = costs.make_quadratic(6, 3, 15)
     results = {
-        name: run(RunConfig(alpha=0.004, max_iters=15000, tol=1e-9, engine=name), plan, prob)
+        name: run(
+            RunConfig(
+                alpha=0.004, max_iters=15000, tol=1e-9, record_every=1, engine=name, init_seed=3
+            ),
+            plan,
+            prob,
+        )
         for name in ENGINES
     }
     per_node, oracle = results["per-node"], results["augmented-oracle"]
