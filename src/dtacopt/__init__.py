@@ -39,6 +39,7 @@ from .optimizer import (
 )
 from .spectral import (
     build_spectral_report,
+    certify,
     contraction_sigma,
     limit_matrix,
     spectral_radius,

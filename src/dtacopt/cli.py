@@ -25,6 +25,7 @@ from .experiment import (
     apply_overrides,
     build_graph,
     build_problem,
+    build_setting,
     compare_engines,
     config_help_lines,
     execute_run,
@@ -48,9 +49,10 @@ def _load(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     cfg = _load(args)
+    problem, setting = build_problem(cfg), build_setting(cfg)  # before any write
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    result = execute_run(cfg)
+    result = execute_run(cfg, problem, setting)
     tag = cfg.get("experiment.tag")
     trace_path = outdir / f"{tag}_trace.csv"
     write_trace(result.records, trace_path)
@@ -76,14 +78,10 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _certify(args):
+def _inputs(args):
     """Resolve the graph (from --graph-file, else the config) and the delays
-    (from --delay-file, else drawn on that graph from the config), then build
-    the spectral report and the step-size bound.
-
-    Returns (cfg, report, bound, reason); bound is None, with the reason, when
-    no step size is certified.
-    """
+    (from --delay-file, else drawn on that graph from the config), and build
+    the problem on that many nodes.  Returns (cfg, setting, problem)."""
     cfg = _load(args)
     if args.graph_file:
         g = graphs.load_edge_list(args.graph_file)
@@ -99,17 +97,21 @@ def _certify(args):
         setting = StaticSetting.draw(
             g, cfg.get("delay.tau_max"), cfg.get("delay.mode"), cfg.get("delay.seed")
         )
-    problem = build_problem(cfg.with_overrides(**{"graph.n": g.n}))
-    report = spectral.build_spectral_report(setting.weights.entries, setting.delays)
+    return cfg, setting, build_problem(cfg.with_overrides(**{"graph.n": g.n}))
+
+
+def _bound(cert: spectral.Certificate, problem) -> tuple:
+    """(bound, "") for a certified step size, else (None, the reason)."""
     try:
-        bound = spectral.step_size_bound(report.constants(problem.l, problem.s))
+        return spectral.step_size_bound(cert, problem.l, problem.s), ""
     except ValueError as exc:
-        return cfg, report, None, str(exc)
-    return cfg, report, bound, ""
+        return None, str(exc)
 
 
 def cmd_spectral(args) -> int:
-    _cfg, report, bound, reason = _certify(args)
+    _cfg, setting, problem = _inputs(args)
+    report = spectral.build_spectral_report(setting.weights.entries, setting.delays)
+    bound, reason = _bound(report.certificate, problem)
     names = ("delta", "theta", "alpha3", "cap", "admissible_max")
     pairs = [(k, getattr(bound, k)) for k in names] if bound is not None else []
     for line in report.lines():
@@ -125,7 +127,10 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_check_bound(args) -> int:
-    cfg, _report, bound, reason = _certify(args)
+    """The certificate alone: no diagnostics, so no N x N 2-norm."""
+    cfg, setting, problem = _inputs(args)
+    aug = delays.build_augmented_matrix(setting.weights.entries, setting.delays)
+    bound, reason = _bound(spectral.certify(aug), problem)
     if bound is None:
         print(f"no certified step size: {reason}", file=sys.stderr)
         return EXIT_NO_STEP_SIZE

@@ -227,7 +227,8 @@ def nesterov_minimize(
     max_iters: int = 1_000_000,
 ) -> np.ndarray:
     """Accelerated gradient descent with step 1/l and restarts, run until
-    the gradient norm drops below tol."""
+    the gradient norm drops below tol.  Raises OracleError when it misses
+    tol in max_iters rounds or the gradient norm is not finite."""
     x = x0.copy()
     y = x0.copy()
     t = 1.0
@@ -235,8 +236,11 @@ def nesterov_minimize(
     for _ in range(max_iters):
         g = grad_fn(y)
         x_new = y - step * g
-        if float(np.linalg.norm(grad_fn(x_new))) < tol:
+        g_norm = float(np.linalg.norm(grad_fn(x_new)))
+        if g_norm < tol:
             return x_new
+        if not np.isfinite(g_norm):
+            raise OracleError(f"centralized oracle hit a gradient norm of {g_norm!r}")
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         momentum = (t - 1.0) / t_new
         y_new = x_new + momentum * (x_new - x)
@@ -276,8 +280,8 @@ def make_least_squares(
 ) -> GlobalProblem:
     """n local least-squares blocks H_i z = b_i (optionally ridge-regularized
     per agent); the optimum solves the normal equations of the stacked system."""
-    if not ridge >= 0:
-        raise ValueError("ridge must be >= 0")
+    if not 0 <= ridge < np.inf:
+        raise ValueError("ridge must be >= 0 and finite")
     if n * rows_per_agent < p:
         raise ValueError("stacked system must be overdetermined: n*rows >= p")
     rng = np.random.default_rng(seed)
@@ -329,8 +333,8 @@ def make_logistic(
     State is (w; b), p+1 dimensional.  lam > 0 regularizes w only; the data
     always mixes labels, which keeps the bias direction coercive.
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError("lam must be positive and finite")
     if samples_per_agent < 2:
         raise ValueError("need at least 2 samples per agent to mix labels")
     F, Y = _two_cluster_data(n, p, samples_per_agent, seed, separation)
@@ -357,8 +361,8 @@ def make_smooth_svm(
     margin_weight = 0 degenerates to the pure ridge; by convention the free
     offset is pinned at 0 there and the optimum is exactly the origin.
     """
-    if not (margin_weight >= 0 and smoothness > 0):
-        raise ValueError("need margin_weight >= 0 and smoothness > 0")
+    if not (0 <= margin_weight < np.inf and 0 < smoothness < np.inf):
+        raise ValueError("need finite margin_weight >= 0 and smoothness > 0")
     if samples_per_agent < 2:
         raise ValueError("need at least 2 samples per agent to mix labels")
     F, Y = _two_cluster_data(n, p, samples_per_agent, seed, separation)

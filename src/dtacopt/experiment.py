@@ -9,7 +9,7 @@ reproduces its CSVs byte for byte.  A sweep crosses `sweep.tau_max` with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -47,6 +47,8 @@ def _at_least(low) -> tuple:
 
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
+_FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
+_FINITE_AT_LEAST_0 = (lambda v: 0 <= v < math.inf, "must be >= 0 and finite")
 
 
 def _choice(*names: str) -> tuple:
@@ -71,12 +73,12 @@ CONFIG_KEYS: dict[str, tuple] = {
     "cost.type": _choice("quadratic", "least_squares", "logistic", "svm"),
     "cost.dim": (int, 5, "state dimension (feature dim for logistic/svm)", _at_least(1)),
     "cost.seed": (int, 42, "cost sampling seed", _at_least(0)),
-    "cost.lambda": (float, 0.1, "logistic ridge weight on w", _POSITIVE),
+    "cost.lambda": (float, 0.1, "logistic ridge weight on w", _FINITE_POSITIVE),
     "cost.samples_per_agent": (int, 50, "samples per agent (logistic/svm)", _at_least(2)),
     "cost.rows_per_agent": (int, 8, "rows per agent (least squares)", _at_least(1)),
-    "cost.ridge": (float, 0.0, "per-agent ridge (least squares)", _at_least(0)),
-    "cost.margin": (float, 1.0, "margin weight C (svm)", _at_least(0)),
-    "cost.smoothness": (float, 5.0, "hinge smoothing mu (svm)", _POSITIVE),
+    "cost.ridge": (float, 0.0, "per-agent ridge (least squares)", _FINITE_AT_LEAST_0),
+    "cost.margin": (float, 1.0, "margin weight C (svm)", _FINITE_AT_LEAST_0),
+    "cost.smoothness": (float, 5.0, "hinge smoothing mu (svm)", _FINITE_POSITIVE),
     "cost.mean_scaled": (_parse_bool, True, "scale logistic loss by 1/m_i", None),
     "cost.separation": (
         float, 2.0, "cluster separation (logistic/svm)", (math.isfinite, "must be finite")
@@ -302,7 +304,9 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunSummary
     the static graph are built once; each bound draws its setting on that
     graph once, for its delay file and for all of its points."""
     problem = build_problem(cfg)  # first: its cross-key errors come before any write
-    g = None if cfg.get("switching.enabled") else build_graph(cfg)
+    # a switching plan holds no draws; each bound takes it at its own tau_max
+    plan = build_setting(cfg) if cfg.get("switching.enabled") else None
+    g = None if plan is not None else build_graph(cfg)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     tag = cfg.get("experiment.tag")
@@ -312,9 +316,9 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunSummary
         graphs.dump_edge_list(g, out / f"{tag}_graph.txt")
     summaries = []
     for tau in taus:
-        # a switching plan holds no draws, so execute_run builds it per point
-        setting = None
-        if g is not None:
+        if plan is not None:
+            setting = replace(plan, tau_max=tau)
+        else:
             setting = StaticSetting.draw(g, tau, cfg.get("delay.mode"), cfg.get("delay.seed"))
             delays.dump_delay_map(setting.delays, out / f"{tag}_tau{tau}_delays.txt")
         for alpha in alphas:
@@ -346,11 +350,11 @@ def compare_engines(cfg: ExperimentConfig, outdir: str | Path) -> dict:
 
     The CSV ends with a `status,...` row carrying each engine's outcome.
     """
+    problem = build_problem(cfg)
+    setting = build_setting(cfg)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     tag = cfg.get("experiment.tag")
-    problem = build_problem(cfg)
-    setting = build_setting(cfg)
     delayed = execute_run(cfg.with_overrides(**{"run.engine": "per-node"}), problem, setting)
     baseline = execute_run(
         cfg.with_overrides(**{"run.engine": "addopt-nodelay"}), problem, setting

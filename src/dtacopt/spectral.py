@@ -21,8 +21,10 @@ This module certifies the quantities the convergence argument runs on:
   certification actually runs on;
 * the admissible step-size interval derived from a 3x3 comparison matrix
   G(alpha): alpha < min(alpha3, 1/(n(tau_max+1)l)) forces rho(G(alpha)) < 1.
-  `step_size_bound` and `build_G_H` both read one `SpectralConstants`
-  bundle, which `SpectralReport.constants(l, s)` builds.
+  `step_size_bound` reads one `Certificate`, which `certify` builds from an
+  augmentation with one N x N eigendecomposition, the pilot run and n x n
+  work on C; `build_spectral_report` adds the diagnostics only `spectral`
+  prints.
 
 Trajectory-dependent constants (the sup-norms of the weight diagonal and its
 inverse, and the geometric envelope of its convergence) are measured from a
@@ -34,7 +36,7 @@ work rather than N^2.  Every augmentation comes from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -215,22 +217,46 @@ def measure_mixing_constants(aug: AugmentedMatrix) -> MixingConstants:
 
 
 @dataclass(frozen=True)
-class SpectralConstants:
-    """Everything the comparison-matrix machinery consumes: the one bundle
-    that `step_size_bound` and `build_G_H` take, built by
-    `SpectralReport.constants` from a report and the cost's l and s."""
+class Certificate:
+    """What the comparison matrix G(alpha) and its driver H_k read of one
+    augmentation: sigma, kappa = ||C - I||_2, epsilon = ||I - C_inf||_2 and
+    the pilot run's y = sup ||Y_k|| and y_minus = sup ||Y_k^-1||, plus the
+    pilot's fit ||Y_k - Y_inf||_2 <= envelope_T gamma1^k and rho(Cbar) from
+    the same eigendecomposition as sigma."""
 
     n: int
     tau_max: int
+    rho_Cbar: float
     sigma: float
     kappa: float
     epsilon: float
-    l: float
-    s: float
     y: float
     y_minus: float
     gamma1: float
     envelope_T: float
+
+
+def certify(aug: AugmentedMatrix) -> Certificate:
+    """The certificate of an augmentation: one N x N eigendecomposition, the
+    pilot run, and n x n work on C, the sum of its slices.  Raises
+    ValueError unless C's columns sum to 1."""
+    n = aug.n
+    C = aug.entries[:, :n].reshape(-1, n, n).sum(axis=0)
+    epsilon = _projector_norm(perron_vector(C))  # checks C's column sums first
+    rho_Cbar, sigma = _radius_and_sigma(aug.entries)
+    mix = measure_mixing_constants(aug)
+    return Certificate(
+        n=n,
+        tau_max=aug.dim // n - 1,
+        rho_Cbar=rho_Cbar,
+        sigma=sigma,
+        kappa=float(np.linalg.norm(_minus_identity(C), 2)),
+        epsilon=epsilon,
+        y=mix.y_sup,
+        y_minus=mix.y_inv_sup,
+        gamma1=mix.gamma1,
+        envelope_T=mix.envelope_T,
+    )
 
 
 @dataclass(frozen=True)
@@ -248,9 +274,10 @@ class StepSizeBound:
         return 0.0 < alpha < self.admissible_max
 
 
-def step_size_bound(cn: SpectralConstants) -> StepSizeBound:
+def step_size_bound(cert: Certificate, l: float, s: float) -> StepSizeBound:
     """Solve the unit-root equation of the comparison matrix for the largest
-    certified step size (gamma1 and envelope_T are not read).
+    certified step size, given the cost's smoothness l and strong convexity
+    s (gamma1, envelope_T and rho_Cbar are not read).
 
     delta = n(tau_max+1) s eps l y_minus (1 - sigma + kappa)
     theta = eps l^2 y y_minus^2 (l + n(tau_max+1) s)
@@ -260,15 +287,14 @@ def step_size_bound(cn: SpectralConstants) -> StepSizeBound:
     ValueError when alpha3 is not a finite positive float (e.g. the constants
     overflow).
     """
-    sigma, kappa, epsilon, y, y_minus = cn.sigma, cn.kappa, cn.epsilon, cn.y, cn.y_minus
-    l, s = cn.l, cn.s
+    sigma, kappa, epsilon, y, y_minus = cert.sigma, cert.kappa, cert.epsilon, cert.y, cert.y_minus
     if min(kappa, epsilon, l, s, y, y_minus) <= 0:
         raise ValueError("all constants must be positive")
     if not (0.0 <= sigma < 1.0):
         raise ValueError(
             f"sigma={sigma:.6g} outside [0, 1): delays too large for a certified rate"
         )
-    m = cn.n * (cn.tau_max + 1)
+    m = cert.n * (cert.tau_max + 1)
     try:
         delta = m * s * epsilon * l * y_minus * (1.0 - sigma + kappa)
         theta = epsilon * l**2 * y * y_minus**2 * (l + m * s)
@@ -290,50 +316,10 @@ def step_size_bound(cn: SpectralConstants) -> StepSizeBound:
 
 
 @dataclass(frozen=True)
-class ContractionMatrices:
-    """The 3x3 comparison pair (G, H_k) driving the error-triple recursion
-    t_k <= G t_{k-1} + H_{k-1} s_{k-1}."""
-
-    G: np.ndarray
-    H_k: np.ndarray
-
-
-def build_G_H(alpha: float, k: int, constants: SpectralConstants) -> ContractionMatrices:
-    """Comparison matrices at step size alpha and round k.
-
-    eta = 1 - alpha n(tau_max+1) s (the binding branch of
-    max{1 - alpha n(tau_max+1) l, 1 - alpha n(tau_max+1) s} since s <= l).
-    H_k decays like gamma1^(k-1) and only touches the ||x_hat|| column.
-    """
-    cn = constants
-    m = cn.n * (cn.tau_max + 1)
-    eta = 1.0 - alpha * m * cn.s
-    eps, l, y, ym = cn.epsilon, cn.l, cn.y, cn.y_minus
-    G = np.array(
-        [
-            [cn.sigma, 0.0, alpha],
-            [alpha * l * ym, eta, 0.0],
-            [
-                eps * l * ym * (cn.kappa + alpha * l * y * ym),
-                alpha * eps * l**2 * y * ym,
-                cn.sigma + alpha * eps * l * ym,
-            ],
-        ]
-    )
-    envelope = cn.envelope_T * cn.gamma1 ** (k - 1) if k >= 1 else cn.envelope_T
-    H = np.array(
-        [
-            [0.0, 0.0, 0.0],
-            [alpha * l * ym * envelope, 0.0, 0.0],
-            [(alpha * l * y + 2.0) * eps * l * ym**2 * envelope, 0.0, 0.0],
-        ]
-    )
-    return ContractionMatrices(G=G, H_k=H)
-
-
-@dataclass(frozen=True)
 class SpectralReport:
-    """Flat bundle of the spectral diagnostics for one (C, delays) instance."""
+    """Flat bundle of the spectral diagnostics for one (C, delays) instance:
+    its certificate's fields, in print order among the others, and the
+    certificate itself."""
 
     n: int
     tau_max: int
@@ -353,13 +339,7 @@ class SpectralReport:
     gamma1: float
     envelope_T: float
     perron: np.ndarray = field(repr=False)
-
-    def constants(self, l: float, s: float) -> SpectralConstants:
-        """This report's certificate constants, with the cost's smoothness l
-        and strong convexity s."""
-        mine = {f.name: getattr(self, f.name) for f in fields(SpectralConstants)
-                if f.name not in ("l", "s")}
-        return SpectralConstants(l=l, s=s, **mine)
+    certificate: Certificate = field(repr=False)
 
     def lines(self) -> list[str]:
         pairs = self.as_pairs()
@@ -374,22 +354,14 @@ class SpectralReport:
 
 
 def build_spectral_report(C: np.ndarray, d: DelayMap) -> SpectralReport:
-    """Full diagnostic sweep for a column-stochastic C under a delay map."""
+    """The certificate of C under a delay map, with the diagnostics around
+    it: rho(C) and its power bound, sigma1 of C alone, and the 2-norms."""
     C = np.asarray(C, dtype=float)
-    n = C.shape[0]
     aug = build_augmented_matrix(C, d)
-    pi = perron_vector(aug)  # checks C's column sums first
+    cert = certify(aug)  # checks C's column sums first
+    pi = perron_vector(aug)
     rho_C = spectral_radius(C)
-    # the one N x N eigendecomposition
-    rho_Cbar, sigma = _radius_and_sigma(aug.entries)
-    bound = rho_C ** (1.0 / (1.0 + d.tau_max))
     C_inf = limit_matrix(C)
-    sigma1 = contraction_sigma(C)
-    sigma1_norm2 = float(np.linalg.norm(C - C_inf, 2))
-    kappa = float(np.linalg.norm(_minus_identity(C), 2))
-    epsilon = _projector_norm(C_inf[:, 0])
-    epsilon_aug = _projector_norm(pi)
-    mix = measure_mixing_constants(aug)
     # aug is not read again, so its two N x N norms are taken in its own
     # entries: aug - I, then (diagonal restored) aug - pi 1^T
     M = aug.entries
@@ -401,22 +373,14 @@ def build_spectral_report(C: np.ndarray, d: DelayMap) -> SpectralReport:
     M -= pi[:, None]
     sigma_norm2 = float(np.linalg.norm(M, 2))
     return SpectralReport(
-        n=n,
-        tau_max=d.tau_max,
+        **asdict(cert),
         rho_C=rho_C,
-        rho_Cbar=rho_Cbar,
-        bound=bound,
-        sigma=sigma,
-        sigma1=sigma1,
+        bound=rho_C ** (1.0 / (1.0 + d.tau_max)),
+        sigma1=contraction_sigma(C),
         sigma_norm2=sigma_norm2,
-        sigma1_norm2=sigma1_norm2,
-        kappa=kappa,
-        epsilon=epsilon,
+        sigma1_norm2=float(np.linalg.norm(C - C_inf, 2)),
         kappa_aug=kappa_aug,
-        epsilon_aug=epsilon_aug,
-        y=mix.y_sup,
-        y_minus=mix.y_inv_sup,
-        gamma1=mix.gamma1,
-        envelope_T=mix.envelope_T,
+        epsilon_aug=_projector_norm(pi),
         perron=pi,
+        certificate=cert,
     )

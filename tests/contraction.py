@@ -1,14 +1,60 @@
 """The comparison-matrix recursion measured along an augmented-engine run.
 
-Test helpers: the error triple t_k of the convergence analysis and a monitor
+Test helpers: the comparison pair (G, H_k) built from a spectral
+certificate, the error triple t_k of the convergence analysis and a monitor
 that checks t_k <= G t_{k-1} + H_{k-1} s_{k-1} step by step.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from dtacopt.optimizer import AugmentedEngine
+from dtacopt.spectral import Certificate
+
+
+@dataclass(frozen=True)
+class ContractionMatrices:
+    """The 3x3 comparison pair (G, H_k) driving the error-triple recursion
+    t_k <= G t_{k-1} + H_{k-1} s_{k-1}."""
+
+    G: np.ndarray
+    H_k: np.ndarray
+
+
+def build_G_H(alpha: float, k: int, cert: Certificate, l: float, s: float) -> ContractionMatrices:
+    """Comparison matrices at step size alpha and round k, for a cost with
+    smoothness l and strong convexity s.
+
+    eta = 1 - alpha n(tau_max+1) s (the binding branch of
+    max{1 - alpha n(tau_max+1) l, 1 - alpha n(tau_max+1) s} since s <= l).
+    H_k decays like gamma1^(k-1) and only touches the ||x_hat|| column.
+    """
+    m = cert.n * (cert.tau_max + 1)
+    eta = 1.0 - alpha * m * s
+    eps, y, ym = cert.epsilon, cert.y, cert.y_minus
+    G = np.array(
+        [
+            [cert.sigma, 0.0, alpha],
+            [alpha * l * ym, eta, 0.0],
+            [
+                eps * l * ym * (cert.kappa + alpha * l * y * ym),
+                alpha * eps * l**2 * y * ym,
+                cert.sigma + alpha * eps * l * ym,
+            ],
+        ]
+    )
+    envelope = cert.envelope_T * cert.gamma1 ** (k - 1) if k >= 1 else cert.envelope_T
+    H = np.array(
+        [
+            [0.0, 0.0, 0.0],
+            [alpha * l * ym * envelope, 0.0, 0.0],
+            [(alpha * l * y + 2.0) * eps * l * ym**2 * envelope, 0.0, 0.0],
+        ]
+    )
+    return ContractionMatrices(G=G, H_k=H)
 
 
 class ContractionMonitor:

@@ -14,6 +14,7 @@ import pytest
 from dtacopt import costs, delays, graphs, spectral
 from dtacopt.experiment import compare_engines, execute_run, load_config
 from dtacopt.optimizer import AugmentedEngine, DtacEngine, init_states
+from contraction import build_G_H
 from per_node_costs import per_node_models
 
 
@@ -323,16 +324,16 @@ def test_criterion_09_step_size_certification():
         d = delays.assign_delays(g, tau, "uniform-random", seed=60 + trial)
         prob = costs.make_quadratic(n, 3, 70 + trial)
         rep = spectral.build_spectral_report(C.entries, d)
-        cn = rep.constants(prob.l, prob.s)
-        bound = spectral.step_size_bound(cn)
-        rho0 = spectral.spectral_radius(spectral.build_G_H(0.0, 1, cn).G)
+        cert, l, s = rep.certificate, prob.l, prob.s
+        bound = spectral.step_size_bound(cert, l, s)
+        rho0 = spectral.spectral_radius(build_G_H(0.0, 1, cert, l, s).G)
         ok = ok and rho0 >= 1.0 - 1e-12
         for frac in np.linspace(0.05, 0.999, 20):
-            G = spectral.build_G_H(float(frac) * bound.admissible_max, 1, cn).G
+            G = build_G_H(float(frac) * bound.admissible_max, 1, cert, l, s).G
             ok = ok and spectral.spectral_radius(G) < 1.0
         m = n * (tau + 1)
         h = 1e-9 / (m * prob.s)
-        rho_h = spectral.spectral_radius(spectral.build_G_H(h, 1, cn).G)
+        rho_h = spectral.spectral_radius(build_G_H(h, 1, cert, l, s).G)
         deriv = (rho_h - rho0) / h
         rel = abs(deriv + m * prob.s) / (m * prob.s)
         ok = ok and rel < 0.05
@@ -345,7 +346,7 @@ def _certified_distributed_error(problem, n, tau, gseed, dseed):
     C = graphs.build_column_stochastic_weights(g)
     d = delays.assign_delays(g, tau, "uniform-random", seed=dseed)
     rep = spectral.build_spectral_report(C.entries, d)
-    bound = spectral.step_size_bound(rep.constants(problem.l, problem.s))
+    bound = spectral.step_size_bound(rep.certificate, problem.l, problem.s)
     alpha = 0.99 * bound.admissible_max
     engine = DtacEngine(problem, init_states(problem, 3), C, d, alpha)
     err = np.inf

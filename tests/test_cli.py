@@ -68,13 +68,25 @@ def test_unsampleable_graph_is_a_config_error(command, tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
 def test_switching_exponential_graph_is_a_config_error(command, tmp_path):
+    out = tmp_path / "out"
     proc = subprocess.run(
-        [sys.executable, "-m", "dtacopt.cli", command, "--out", str(tmp_path),
+        [sys.executable, "-m", "dtacopt.cli", command, "--out", str(out),
          "--set", "switching.enabled=true", "--set", "graph.type=exponential"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 1
     assert proc.stderr == "config error: switching schedules support erdos-renyi graphs only\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_underdetermined_least_squares_exits_one_before_out_is_made(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    sets = ["cost.type=least_squares", "cost.rows_per_agent=1", "cost.dim=20"]
+    code = main([command, "--out", str(out)] + [a for kv in sets for a in ("--set", kv)])
+    assert code == 1
+    assert capsys.readouterr().err == "config error: stacked system must be overdetermined: n*rows >= p\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "compare", "spectral", "check-bound"])
@@ -126,6 +138,10 @@ def test_sweep_subcommand_writes_summary(tmp_path, capsys):
         (["run.tol=-1"], "run.tol"),
         # each value is in range; the builder finds n*rows < p
         (["cost.type=least_squares", "cost.rows_per_agent=1", "cost.dim=20"], None),
+        (["cost.type=least_squares", "cost.ridge=inf"], "cost.ridge"),
+        (["cost.type=logistic", "cost.lambda=inf"], "cost.lambda"),
+        (["cost.type=svm", "cost.margin=inf"], "cost.margin"),
+        (["cost.type=svm", "cost.smoothness=inf"], "cost.smoothness"),
     ],
 )
 def test_bad_sweep_entry_exits_one_before_writing(sets, key, tmp_path, capsys):

@@ -239,6 +239,37 @@ def test_svm_separable_data_classifies_training_points():
     assert correct / total >= 0.97
 
 
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_least_squares(3, 2, 4, 0, ridge=INF),
+        lambda: make_logistic(3, 3, 16, INF, 0),
+        lambda: make_smooth_svm(3, 3, 16, INF, 5.0, 0),
+        lambda: make_smooth_svm(3, 3, 16, 1.0, INF, 0),
+    ],
+    ids=["ridge", "lam", "margin", "smoothness"],
+)
+def test_factories_reject_an_infinite_weight_before_their_oracle(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), INF])
+def test_nesterov_oracle_stops_on_a_non_finite_gradient(bad):
+    calls = []
+
+    def grad(z):
+        calls.append(z)
+        return np.full_like(z, bad)
+
+    with pytest.raises(OracleError, match="gradient norm"):
+        nesterov_minimize(grad, np.zeros(2), lipschitz=1.0)
+    assert len(calls) == 2  # one round: the gradient at y, then at x_new
+
+
 def test_nesterov_oracle_caps_iterations():
     with pytest.raises(OracleError):
         nesterov_minimize(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contraction import ContractionMonitor, tracking_triple
+from contraction import ContractionMonitor, build_G_H, tracking_triple
 from per_node_costs import per_node_models
 from dtacopt import costs, delays, graphs, spectral
 from dtacopt.optimizer import (
@@ -456,15 +456,14 @@ def test_contraction_monitor_on_converged_certified_runs():
         setting = make_setting(n, tau, gseed, dseed, p_edge=0.7)
         prob = costs.make_quadratic(n, 3, cseed)
         report = spectral.build_spectral_report(setting.weights.entries, setting.delays)
-        cn = report.constants(prob.l, prob.s)
-        alpha = 0.9 * spectral.step_size_bound(cn).admissible_max
-        cn = replace(cn, sigma=report.sigma_norm2)
+        alpha = 0.9 * spectral.step_size_bound(report.certificate, prob.l, prob.s).admissible_max
+        cert = replace(report.certificate, sigma=report.sigma_norm2)
         engine = AugmentedEngine(
             prob, init_states(prob, 3), setting.weights, setting.delays, alpha
         )
         limit = spectral.limit_matrix(engine.aug)
         monitor = ContractionMonitor(
-            lambda k: spectral.build_G_H(alpha, k, cn), limit, prob.z_star
+            lambda k: build_G_H(alpha, k, cert, prob.l, prob.s), limit, prob.z_star
         )
         monitor.observe(engine)
         for _ in range(20000):

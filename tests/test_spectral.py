@@ -1,3 +1,5 @@
+import io
+from contextlib import redirect_stdout
 from dataclasses import fields
 
 import numpy as np
@@ -5,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contraction import build_G_H
 from dtacopt import costs
+from dtacopt.cli import main
 from dtacopt.delays import DelayMap, assign_delays, build_augmented_matrix, build_delay_slices
 from dtacopt.graphs import (
     DirectedGraph,
@@ -13,12 +17,13 @@ from dtacopt.graphs import (
     generate_erdos_renyi,
     generate_exponential_graph,
 )
+from dtacopt.optimizer import StaticSetting
 from dtacopt.spectral import (
     PILOT_HORIZON,
+    Certificate,
     MixingConstants,
-    SpectralConstants,
-    build_G_H,
     build_spectral_report,
+    certify,
     contraction_sigma,
     limit_matrix,
     measure_mixing_constants,
@@ -87,10 +92,10 @@ def test_periodic_chain_gets_no_certificate():
     sigma = contraction_sigma(swap)  # the eigenvalue -1 survives the projection
     assert sigma == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="outside"):
-        step_size_bound(_cn(2, 0, 1.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0))
+        step_size_bound(*_cn(2, 0, 1.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0))
     # the computed sigma (the modulus of the eigenvalue -1) certifies nothing either
     with pytest.raises(ValueError, match="outside"):
-        step_size_bound(_cn(2, 0, sigma, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0))
+        step_size_bound(*_cn(2, 0, sigma, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0))
 
 
 def test_limit_matrix_fixed_point_residuals():
@@ -304,19 +309,22 @@ def _report_and_problem(n=6, tau=2, gseed=50, dseed=60, cseed=70):
 
 
 def _cn(n, tau_max, sigma, kappa, epsilon, l, s, y, y_minus):
-    """The bundle of the nine constants `step_size_bound` reads; the pilot
-    fit (gamma1, envelope_T), which only `build_G_H` reads, is zero."""
-    return SpectralConstants(n, tau_max, sigma, kappa, epsilon, l, s, y, y_minus, 0.0, 0.0)
+    """`step_size_bound`'s arguments from the nine numbers it reads; the
+    certificate's rho_Cbar and pilot fit (gamma1, envelope_T), which it
+    does not read, are 1, 0 and 0."""
+    return Certificate(n, tau_max, 1.0, sigma, kappa, epsilon, y, y_minus, 0.0, 0.0), l, s
 
 
-def test_report_constants_copy_every_field_but_l_and_s():
-    report, prob = _report_and_problem()
-    cn = report.constants(prob.l, prob.s)
-    assert (cn.l, cn.s) == (prob.l, prob.s)
-    copied = ("n", "tau_max", "sigma", "kappa", "epsilon", "y", "y_minus", "gamma1", "envelope_T")
-    assert {f.name for f in fields(SpectralConstants)} == {*copied, "l", "s"}
-    for name in copied:
-        assert getattr(cn, name) == getattr(report, name), name
+def test_report_carries_its_certificate():
+    g = generate_erdos_renyi(6, 0.6, seed=50)  # _report_and_problem's instance
+    C = build_column_stochastic_weights(g).entries
+    d = assign_delays(g, 2, "uniform-random", seed=60)
+    report = build_spectral_report(C, d)
+    assert report.certificate == certify(build_augmented_matrix(C, d))
+    for f in fields(Certificate):
+        assert getattr(report, f.name) == getattr(report.certificate, f.name), f.name
+    names = [name for name, _ in report.as_pairs()]
+    assert "certificate" not in names and {f.name for f in fields(Certificate)} <= set(names)
 
 
 def test_step_size_bound_tiny_theta_limit():
@@ -324,7 +332,7 @@ def test_step_size_bound_tiny_theta_limit():
     # expansion of the root, alpha3 = L (1 - a theta / (4 delta^2)) + O(theta^2)
     n, tau, sigma = 4, 1, 0.5
     kappa, eps, l, s, y, ym = 1.4, 1.1, 8.0, 1.0, 2.0, 3.0
-    b = step_size_bound(_cn(n, tau, sigma, kappa, eps, l, s, y, ym))
+    b = step_size_bound(*_cn(n, tau, sigma, kappa, eps, l, s, y, ym))
     m = n * (tau + 1)
     a = 4 * m * s * (1 - sigma) ** 2
     delta = b.delta
@@ -343,7 +351,7 @@ def test_step_size_bound_tiny_theta_limit():
 def test_step_size_bound_vanishes_as_sigma_approaches_one():
     prev = None
     for sigma in (0.9, 0.99, 0.999, 0.9999):
-        b = step_size_bound(_cn(5, 2, sigma, 1.5, 1.2, 9.0, 1.0, 2.0, 4.0))
+        b = step_size_bound(*_cn(5, 2, sigma, 1.5, 1.2, 9.0, 1.0, 2.0, 4.0))
         if prev is not None:
             assert b.alpha3 < prev
         prev = b.alpha3
@@ -352,15 +360,15 @@ def test_step_size_bound_vanishes_as_sigma_approaches_one():
 
 def test_step_size_bound_rejects_large_sigma_and_accepts_zero():
     with pytest.raises(ValueError):
-        step_size_bound(_cn(5, 2, 1.0, 1.5, 1.2, 9.0, 1.0, 2.0, 4.0))
-    b = step_size_bound(_cn(2, 0, 0.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0))
+        step_size_bound(*_cn(5, 2, 1.0, 1.5, 1.2, 9.0, 1.0, 2.0, 4.0))
+    b = step_size_bound(*_cn(2, 0, 0.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0))
     assert b.admissible_max > 0
 
 
 def test_step_size_bound_that_overflows_is_a_value_error():
     # y_minus near 1e160 squares past the float range inside delta**2
     with pytest.raises(ValueError, match="overflow"):
-        step_size_bound(_cn(5, 2, 0.5, 1.5, 1.2, 9.0, 1.0, 2.0, 1e160))
+        step_size_bound(*_cn(5, 2, 0.5, 1.5, 1.2, 9.0, 1.0, 2.0, 1e160))
 
 
 def test_certified_interval_shrinks_with_delay_bound():
@@ -371,7 +379,7 @@ def test_certified_interval_shrinks_with_delay_bound():
     for tau in (0, 1, 3, 6, 10):
         d = assign_delays(g, tau, "uniform-random", seed=5)
         rep = build_spectral_report(C.entries, d)
-        b = step_size_bound(rep.constants(prob.l, prob.s))
+        b = step_size_bound(rep.certificate, prob.l, prob.s)
         assert b.admissible_max < prev
         prev = b.admissible_max
     assert prev < 1e-4  # large delays certify only tiny steps
@@ -379,35 +387,35 @@ def test_certified_interval_shrinks_with_delay_bound():
 
 def test_comparison_matrix_certified_interval():
     report, prob = _report_and_problem()
-    cn = report.constants(prob.l, prob.s)
-    bound = step_size_bound(cn)
-    G0 = build_G_H(0.0, 1, cn).G
+    cert, l, s = report.certificate, prob.l, prob.s
+    bound = step_size_bound(cert, l, s)
+    G0 = build_G_H(0.0, 1, cert, l, s).G
     eigs = np.sort(np.abs(np.linalg.eigvals(G0)))
     assert eigs[-1] == pytest.approx(1.0, abs=1e-12)  # eta = 1 at alpha = 0
     assert np.allclose(np.sort(eigs), np.sort([report.sigma, report.sigma, 1.0]), atol=1e-9)
     for frac in np.linspace(0.05, 0.99, 20):
-        G = build_G_H(frac * bound.admissible_max, 1, cn).G
+        G = build_G_H(frac * bound.admissible_max, 1, cert, l, s).G
         assert spectral_radius(G) < 1.0
 
 
 def test_comparison_matrix_unit_eigenvalue_derivative():
     report, prob = _report_and_problem()
-    cn = report.constants(prob.l, prob.s)
+    cert, l, s = report.certificate, prob.l, prob.s
     m = report.n * (report.tau_max + 1)
     h = 1e-9 / (m * prob.s)
-    rho0 = spectral_radius(build_G_H(0.0, 1, cn).G)
-    rhoh = spectral_radius(build_G_H(h, 1, cn).G)
+    rho0 = spectral_radius(build_G_H(0.0, 1, cert, l, s).G)
+    rhoh = spectral_radius(build_G_H(h, 1, cert, l, s).G)
     deriv = (rhoh - rho0) / h
     assert deriv == pytest.approx(-m * prob.s, rel=0.05)
 
 
 def test_H_decays_geometrically():
     report, prob = _report_and_problem()
-    cn = report.constants(prob.l, prob.s)
+    cert = report.certificate
     for k in (1, 2, 5, 11):
-        Hk = build_G_H(0.01, k, cn).H_k
-        Hk1 = build_G_H(0.01, k + 1, cn).H_k
-        assert np.allclose(Hk1, cn.gamma1 * Hk, rtol=1e-12)
+        Hk = build_G_H(0.01, k, cert, prob.l, prob.s).H_k
+        Hk1 = build_G_H(0.01, k + 1, cert, prob.l, prob.s).H_k
+        assert np.allclose(Hk1, cert.gamma1 * Hk, rtol=1e-12)
 
 
 def test_centralized_contraction_factor():
@@ -487,3 +495,73 @@ def test_report_takes_one_dense_eigendecomposition_and_no_dense_solve(monkeypatc
     build_spectral_report(C, d)
     dense = [call for call in shapes if any(N in shape for shape in call[1:])]
     assert dense == [("eigvals", (N, N))]
+
+
+def test_check_bound_takes_one_dense_eigendecomposition_and_nothing_else(monkeypatch, capsys):
+    """`check-bound` computes the certificate alone: at N = n(tau_max+1) it
+    hands numpy one N x N array, to eigvals, and takes no 2-norm, SVD,
+    solve or outer product of one (the report's diagnostics take four)."""
+    N = 6 * 4
+    shapes = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            shapes.append((name, *(np.shape(a) for a in args)))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    for name in ("eigvals", "eig", "solve", "svd", "norm", "lstsq", "inv"):
+        spy(np.linalg, name)
+    spy(np, "outer")
+    argv = ["--set", "graph.n=6", "--set", "graph.p=0.6", "--set", "cost.dim=3",
+            "--set", "delay.tau_max=3", "--set", "run.alpha=1e-5"]
+    assert main(["check-bound", *argv]) == 0
+    assert capsys.readouterr().out.endswith(" CERTIFIED\n")
+    assert [call for call in shapes if any(N in shape for shape in call[1:])] == [
+        ("eigvals", (N, N))
+    ]
+    shapes.clear()
+    assert main(["spectral", *argv]) == 0
+    dense = [call[0] for call in shapes if (N, N) in call[1:]]
+    assert sorted(dense) == ["eigvals", "norm", "norm"]
+
+
+def _cli_admissible_max(command: str, argv: list[str]) -> tuple[int, str]:
+    """A command's exit code and the `admissible_max=` value it printed last
+    ('' if none)."""
+    with redirect_stdout(io.StringIO()) as out:
+        code = main([command, *argv])
+    values = [ln.rpartition("admissible_max=")[2].split()[0]
+              for ln in out.getvalue().splitlines() if "admissible_max=" in ln]
+    return code, values[-1] if values else ""
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 10),
+    tau_max=st.integers(0, 4),
+    mode=st.sampled_from(["uniform-random", "homogeneous-max", "zero"]),
+    p=st.floats(0.3, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_certificate_alone_equals_the_reports(n, tau_max, mode, p, seed):
+    """`certify` on an augmentation gives the report's fields bit for bit,
+    and `check-bound`, which builds only the certificate, prints the
+    `admissible_max` of `spectral --record`."""
+    setting = StaticSetting.draw(generate_erdos_renyi(n, p, seed=seed), tau_max, mode, seed)
+    C, d = setting.weights.entries, setting.delays
+    cert = certify(build_augmented_matrix(C, d))
+    report = build_spectral_report(C, d)
+    for f in fields(Certificate):
+        mine, theirs = getattr(cert, f.name), getattr(report, f.name)
+        assert np.array(mine).tobytes() == np.array(theirs).tobytes(), f.name
+    argv = [a for kv in (f"graph.n={n}", f"graph.p={p!r}", f"graph.seed={seed}",
+                         f"delay.tau_max={tau_max}", f"delay.mode={mode}",
+                         f"delay.seed={seed}", "cost.dim=2") for a in ("--set", kv)]
+    spectral_code, spectral_max = _cli_admissible_max("spectral", [*argv, "--record"])
+    check_code, check_max = _cli_admissible_max("check-bound", argv)
+    assert (check_code, check_max) == (spectral_code, spectral_max)
+    assert spectral_code == 3 or spectral_max

@@ -37,8 +37,8 @@ LOGISTIC = ("--set", "graph.type=exponential", "--set", "graph.n=16",
 # a one-point sweep that writes the edge list, delay map and trace of an
 # exponential graph whose hops wrap unevenly (n=257) on least-squares costs,
 # a switching compare and sweep, a sweep whose graph and delay files
-# `spectral` then certifies, and a graph that cannot be sampled strongly
-# connected (exit 1)
+# `spectral` and `check-bound` then certify, `check-bound` on both sides of
+# its verdict, and a graph that cannot be sampled strongly connected (exit 1)
 COMMANDS = (
     ("run", ("run",)),
     ("run-oracle", ("run", "--set", "run.engine=augmented-oracle")),
@@ -64,9 +64,11 @@ COMMANDS = (
                          "--set", "run.max_iters=1500")),
     ("sweep-then-spectral", ("sweep", "--set", "delay.tau_max=3", "--set", "run.max_iters=100"),
      ("spectral", "--graph-file", "run_graph.txt", "--delay-file", "run_tau3_delays.txt",
-      "--record")),
+      "--record"),
+     ("check-bound", "--graph-file", "run_graph.txt", "--delay-file", "run_tau3_delays.txt")),
     ("spectral", ("spectral", "--set", "delay.tau_max=5", "--record")),
     ("check-bound", ("check-bound", "--set", "run.alpha=0.001")),
+    ("check-bound-certified", ("check-bound", "--set", "run.alpha=1e-5")),
     ("config-error", ("run", "--set", "graph.n=30", "--set", "graph.p=0.01")),
 )
 
