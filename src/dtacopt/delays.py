@@ -18,9 +18,10 @@ some of it is in transit.
 
 A `DelayMap` is its bound and three integer arrays in a graph's link
 order: link ``src[k] -> dst[k]`` has delay ``delay[k]``.  `assign_delays`
-shares the graph's arrays.  `build_delay_slices` checks the map's domain by
-counting nonzeros, building sets of links only to word its error, and moves
-every weight into its slice with one scatter.
+shares the graph's arrays, `links` included, and does not check them again.
+`build_delay_slices` checks the map's domain by counting nonzeros, building
+sets of links only to word its error, and moves every weight into its slice
+with one scatter.
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ def assign_delays(
         raise ValueError(f"unknown delay mode {mode!r}")
     delay = np.zeros(len(g.src), dtype=np.intp)
     delay[g.links] = draws  # self-loops keep 0
-    return DelayMap(g.src, g.dst, delay, tau_max)
+    d = object.__new__(DelayMap)
+    vars(d).update(src=g.src, dst=g.dst, delay=delay, tau_max=tau_max, links=g.links)
+    return d
 
 
 @dataclass(frozen=True)

@@ -356,6 +356,8 @@ def compare_engines(cfg: ExperimentConfig, outdir: str | Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     tag = cfg.get("experiment.tag")
     delayed = execute_run(cfg.with_overrides(**{"run.engine": "per-node"}), problem, setting)
+    if isinstance(setting, SwitchingPlan):  # the same graphs, no delay draws
+        setting = replace(setting, delay_mode="zero")
     baseline = execute_run(
         cfg.with_overrides(**{"run.engine": "addopt-nodelay"}), problem, setting
     )

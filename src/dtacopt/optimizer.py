@@ -108,22 +108,51 @@ _DENSE_PER_NONZERO = 32
 
 def _mixer(M: np.ndarray, width: int):
     """X -> M @ X for blocks X of `width` columns: one BLAS call if M has at
-    most _DENSE_BASE + _DENSE_PER_NONZERO * nnz(M) entries, else one bincount
-    over the nonzeros that adds each row's terms in column order and keeps no
-    reference to M.  The route depends on M alone."""
+    most _DENSE_BASE + _DENSE_PER_NONZERO * nnz(M) entries, else the product
+    through its nonzeros, which keeps no reference to M.  The route depends on
+    M alone."""
     flat = np.flatnonzero(M)
     if M.size <= _DENSE_BASE + _DENSE_PER_NONZERO * len(flat):
         return M.__matmul__
     rows, cols = np.divmod(flat, M.shape[1])
-    vals = M.ravel()[flat][:, None]
+    return _nonzero_product(rows, cols, M.ravel()[flat], M.shape[0], width)
+
+
+def _nonzero_product(rows, cols, vals, m: int, width: int):
+    """X -> M @ X for the m-row M with nonzeros vals at (rows, cols), each
+    row's listed in column order: one bincount, which adds each row's terms in
+    that order, over a gather buffer that every call reuses."""
     bins = (rows[:, None] * width + np.arange(width)).ravel()
-    shape = (M.shape[0], width)
+    vals = vals[:, None]
+    terms = np.empty((len(cols), width))
 
     def product(X: np.ndarray) -> np.ndarray:
-        terms = vals * X[cols]
-        return np.bincount(bins, terms.ravel(), shape[0] * width).reshape(shape)
+        np.take(X, cols, 0, terms, "clip")  # "raise" would copy
+        np.multiply(vals, terms, terms)
+        return np.bincount(bins, terms.ravel(), m * width).reshape(m, width)
 
     return product
+
+
+def _located_nonzeros(S: np.ndarray, d: DelayMap):
+    """The nonzeros of the stacked slices S of d, found from d, not by a scan:
+    link j -> i of delay t at (t*n + i, j), in sender order, which is each
+    row's column order, and node i's self-loop (i, i) after sender i's links.
+    Zero self-loop weights are dropped; the values are read from S."""
+    n, links = S.shape[1], d.links
+    src = d.src[links]
+    at = np.arange(len(links)) + src
+    loops = np.cumsum(np.bincount(src, minlength=n)) + np.arange(n)
+    rows = np.empty(len(links) + n, np.intp)
+    cols = np.empty_like(rows)
+    rows[at] = d.delay[links] * n + d.dst[links]
+    cols[at] = src
+    rows[loops] = cols[loops] = np.arange(n)
+    vals = S.ravel()[rows * n + cols]
+    if np.count_nonzero(vals) < len(vals):
+        keep = np.flatnonzero(vals)
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    return rows, cols, vals
 
 
 class _EngineBase:
@@ -213,8 +242,15 @@ class DtacEngine(_EngineBase):
         # zero the stacked operator is C itself, as in AddOptEngine.  (An int
         # max in place of bincount would load numpy code no other step runs.)
         top = len(np.bincount(delays.delay, minlength=1)) - 1
-        slices = build_delay_slices(C, delays).slices[: top + 1]
-        self._mix = _mixer(slices.reshape(-1, self.n), self.W.shape[1])
+        S = build_delay_slices(C, delays).slices[: top + 1].reshape(-1, self.n)
+        # by the domain check, S's nonzeros are the links and C's diagonal ones
+        nnz = len(delays.links) + np.count_nonzero(S[: self.n].diagonal())
+        if S.size <= _DENSE_BASE + _DENSE_PER_NONZERO * nnz:
+            self._mix = S.__matmul__
+            return
+        m, (rows, cols, vals) = len(S), _located_nonzeros(S, delays)
+        del S  # free the stack before the product's bins are built
+        self._mix = _nonzero_product(rows, cols, vals, m, self.W.shape[1])
 
     def step(self) -> None:
         # the round-k state is shared under the round-k topology, so sends

@@ -98,6 +98,18 @@ def test_assign_delays_uniform_range_and_determinism():
     assert len(set(d1.tau.values())) > 1
 
 
+@pytest.mark.parametrize("mode", ["uniform-random", "homogeneous-max", "zero"])
+def test_assign_delays_shares_the_checked_graph_arrays(mode, monkeypatch):
+    g = generate_erdos_renyi(10, 0.5, seed=7)
+    monkeypatch.setattr(DelayMap, "_store", None)  # a map that re-checks fails
+    d = assign_delays(g, 3, mode, seed=7)
+    assert d.src is g.src and d.dst is g.dst and d.links is g.links
+    monkeypatch.undo()
+    checked = DelayMap(g.src, g.dst, d.delay, 3)
+    assert checked.tau == d.tau and checked.tau_max == d.tau_max == 3
+    assert np.array_equal(checked.links, d.links)
+
+
 def test_assign_delays_rejects_unknown_mode():
     with pytest.raises(ValueError):
         assign_delays(cycle(3), 2, "gaussian")

@@ -282,6 +282,19 @@ def test_compare_draws_its_network_once(monkeypatch, tmp_path):
     assert (len(sampled), sum(map(len, weighted))) == (1, 1)
 
 
+def test_switching_compare_draws_no_delays_for_its_delay_free_leg(monkeypatch, tmp_path):
+    cfg = fast_config(**{"switching.enabled": True, "switching.period": 3, "run.max_iters": 20})
+    problem, plan = build_problem(cfg), build_setting(cfg)
+    addopt = cfg.with_overrides(**{"run.engine": "addopt-nodelay"})
+    alone = execute_run(addopt, problem, plan)  # the baseline on the delayed plan
+    drawn = _count_calls(monkeypatch, optimizer, "assign_delays")  # where StaticSetting.draw looks
+    results = compare_engines(cfg, tmp_path)
+    modes = [args[2] for args in drawn]
+    epochs = [1 + (results[leg].iters - 1) // 3 for leg in ("delayed", "baseline")]
+    assert modes == ["uniform-random"] * epochs[0] + ["zero"] * epochs[1]
+    assert results["baseline"].records == alone.records
+
+
 def test_sweep_builds_problem_and_graph_once_and_runs_every_point(monkeypatch, tmp_path):
     built = _count_calls(monkeypatch, costs, "make_quadratic")
     sampled = _count_calls(monkeypatch, graphs, "generate_erdos_renyi")

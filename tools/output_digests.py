@@ -33,7 +33,8 @@ LOGISTIC = ("--set", "graph.type=exponential", "--set", "graph.n=16",
             "--set", "cost.type=logistic", "--set", "delay.tau_max=3")
 
 # (name, argv, ...): the README commands, one run under each engine and cost
-# family, a large sparse run whose products take the nonzero (bincount) route,
+# family, large sparse runs whose products take the nonzero (bincount) route
+# under each delay mode, a switching run whose epochs take that route,
 # a one-point sweep that writes the edge list, delay map and trace of an
 # exponential graph whose hops wrap unevenly (n=257) on least-squares costs,
 # a switching compare and sweep, a sweep whose graph and delay files
@@ -53,6 +54,14 @@ COMMANDS = (
     ("run-large-sparse", ("run", "--set", "graph.type=exponential", "--set", "graph.n=200",
                           "--set", "delay.tau_max=10", "--set", "run.alpha=1e-4",
                           "--set", "run.max_iters=200")),
+    ("run-sparse-zero-delay", ("run", "--set", "graph.type=exponential", "--set", "graph.n=400",
+                               "--set", "delay.tau_max=10", "--set", "delay.mode=zero",
+                               "--set", "run.alpha=1e-4", "--set", "run.max_iters=200")),
+    ("run-sparse-homogeneous", ("run", "--set", "graph.type=exponential", "--set", "graph.n=200",
+                                "--set", "delay.tau_max=3", "--set", "delay.mode=homogeneous-max",
+                                "--set", "run.alpha=1e-4", "--set", "run.max_iters=200")),
+    ("run-switching-sparse", ("run", "--set", "switching.enabled=true", "--set", "graph.n=100",
+                              "--set", "graph.p=0.06", "--set", "run.max_iters=300")),
     ("sweep", ("sweep", "--set", "sweep.tau_max=0,5,15", "--set", "sweep.alpha=0.001,0.005",
                "--set", "run.max_iters=1500")),
     ("sweep-exponential", ("sweep", "--set", "graph.type=exponential", "--set", "graph.n=257",
