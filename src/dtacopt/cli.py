@@ -81,8 +81,13 @@ def cmd_compare(args) -> int:
 def _inputs(args):
     """Resolve the graph (from --graph-file, else the config) and the delays
     (from --delay-file, else drawn on that graph from the config), and build
-    the problem on that many nodes.  Returns (cfg, setting, problem)."""
+    the problem on that many nodes.  Returns (cfg, setting, problem).  A
+    certificate covers one fixed topology, so a switching config is refused."""
     cfg = _load(args)
+    if cfg.get("switching.enabled"):
+        raise ConfigError(
+            f"{args.command} certifies one fixed topology; set switching.enabled=false"
+        )
     if args.graph_file:
         g = graphs.load_edge_list(args.graph_file)
         if not graphs.is_strongly_connected(g):
@@ -110,7 +115,7 @@ def _bound(cert: spectral.Certificate, problem) -> tuple:
 
 def cmd_spectral(args) -> int:
     _cfg, setting, problem = _inputs(args)
-    report = spectral.build_spectral_report(setting.weights.entries, setting.delays)
+    report = spectral.build_spectral_report(setting.weights, setting.delays)
     bound, reason = _bound(report.certificate, problem)
     names = ("delta", "theta", "alpha3", "cap", "admissible_max")
     pairs = [(k, getattr(bound, k)) for k in names] if bound is not None else []
@@ -129,7 +134,7 @@ def cmd_spectral(args) -> int:
 def cmd_check_bound(args) -> int:
     """The certificate alone: no diagnostics, so no N x N 2-norm."""
     cfg, setting, problem = _inputs(args)
-    aug = delays.build_augmented_matrix(setting.weights.entries, setting.delays)
+    aug = delays.build_augmented_matrix(setting.weights, setting.delays)
     bound, reason = _bound(spectral.certify(aug), problem)
     if bound is None:
         print(f"no certified step size: {reason}", file=sys.stderr)

@@ -19,9 +19,10 @@ some of it is in transit.
 A `DelayMap` is its bound and three integer arrays in a graph's link
 order: link ``src[k] -> dst[k]`` has delay ``delay[k]``.  `assign_delays`
 shares the graph's arrays, `links` included, and does not check them again.
-`build_delay_slices` checks the map's domain by counting nonzeros, building
-sets of links only to word its error, and moves every weight into its slice
-with one scatter.
+`build_delay_slices` checks the map's domain on the link arrays: at once
+when the map shares the weights' arrays, else by one comparison of the two
+link lists, building sets of links only to word its error.  It moves every
+weight into its slice with one scatter.
 """
 
 from __future__ import annotations
@@ -91,12 +92,19 @@ def assign_delays(
     elif mode == "homogeneous-max":
         draws = tau_max
     elif mode == "uniform-random":
-        rng = np.random.default_rng(seed)
-        draws = rng.integers(0, tau_max + 1, size=len(g.src))[g.links]
+        draws = np.random.default_rng(seed).integers(0, tau_max + 1, size=len(g.src))
+        if len(g.links) == len(g.src):  # no self-loop to keep at 0
+            return _on_graph(g, draws, tau_max)
+        draws = draws[g.links]
     else:
         raise ValueError(f"unknown delay mode {mode!r}")
     delay = np.zeros(len(g.src), dtype=np.intp)
     delay[g.links] = draws  # self-loops keep 0
+    return _on_graph(g, delay, tau_max)
+
+
+def _on_graph(g: DirectedGraph, delay: np.ndarray, tau_max: int) -> DelayMap:
+    """The map of `delay` on g's checked link arrays, `links` included."""
     d = object.__new__(DelayMap)
     vars(d).update(src=g.src, dst=g.dst, delay=delay, tau_max=tau_max, links=g.links)
     return d
@@ -110,32 +118,37 @@ class DelaySlices:
 
 
 def build_delay_slices(C: WeightMatrix | np.ndarray, d: DelayMap) -> DelaySlices:
-    """Split C into per-delay slices. Each entry is moved, never recomputed,
+    """Split C into per-delay slices. Each weight is moved, never recomputed,
     so the slices sum back to C exactly.
 
-    Diagonal weights (implicit self-loops) go to slice 0.  The delay map
-    domain must cover the off-diagonal sparsity pattern of C: its links are
-    distinct, so it does when each lies inside C, each is a nonzero of C,
-    and there are as many as C has off-diagonal nonzeros.
+    Diagonal weights (implicit self-loops) go to slice 0.  The delay map's
+    links that are not self-loops must be C's: that holds at once when the
+    map shares C's link arrays, as every `assign_delays` map does, and is
+    otherwise one comparison of the two sorted lists of those links.
     """
-    M = C.entries if isinstance(C, WeightMatrix) else np.asarray(C, dtype=float)
-    n = M.shape[0]
-    try:  # flat positions of the C[i, j] the links j -> i carry
-        at = np.ravel_multi_index((d.dst[d.links], d.src[d.links]), M.shape)
-    except ValueError:  # a link outside 0..n-1
-        raise _domain_error(M, d) from None
-    weights = M.ravel()[at]
-    off_diagonal = np.count_nonzero(M) - np.count_nonzero(M.diagonal())
-    if np.count_nonzero(weights) != len(at) or len(at) != off_diagonal:
-        raise _domain_error(M, d)
-    slices = np.zeros((d.tau_max + 1, n, n))
-    np.fill_diagonal(slices[0], M.diagonal())
-    slices.reshape(d.tau_max + 1, -1)[d.delay[d.links], at] = weights
+    if not isinstance(C, WeightMatrix):
+        C = WeightMatrix(np.asarray(C, dtype=float), check=False)
+    if not (d.src is C.src and d.dst is C.dst or _same_links(C, d)):
+        raise _domain_error(C, d)
+    n, T = C.n, d.tau_max
+    at = np.ravel_multi_index((C.dst[C.links], C.src[C.links]), (n, n))
+    slices = np.zeros((T + 1, n, n))
+    np.fill_diagonal(slices[0], C.diag)
+    slices.reshape(T + 1, -1)[d.delay[d.links], at] = C.weight
     return DelaySlices(slices=slices)
 
 
-def _domain_error(M: np.ndarray, d: DelayMap) -> ValueError:
-    pattern = {(j, i) for i, j in zip(*np.nonzero(M)) if i != j}
+def _same_links(C: WeightMatrix, d: DelayMap) -> bool:
+    """Whether d and C list the same links that are not self-loops (both
+    lists are sorted, so as arrays)."""
+    a, b = C.links, d.links
+    return len(a) == len(b) and np.array_equal(
+        (C.src[a], C.dst[a]), (d.src[b], d.dst[b])
+    )
+
+
+def _domain_error(C: WeightMatrix, d: DelayMap) -> ValueError:
+    pattern = set(zip(C.src[C.links], C.dst[C.links]))
     mapped = {e for e in d.tau if e[0] != e[1]}
     missing = sorted(pattern - mapped)[:5]
     spurious = sorted(mapped - pattern)[:5]

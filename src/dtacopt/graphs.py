@@ -9,7 +9,10 @@ column sum to one and keeps the diagonal positive.
 A `DirectedGraph` is its node count and two integer arrays: link k is
 ``src[k] -> dst[k]``, in strictly increasing ``(src, dst)`` order, which
 `np.nonzero` of the ER sampler's adjacency mask returns and `from_edges`
-sorts into.  The builders read the arrays with whole-array operations.
+sorts into.  The builders read the arrays with whole-array operations.  A
+`WeightMatrix` shares them: one weight per link and the diagonal, |E| + n
+numbers, checked on those arrays; the dense n x n matrix is built only when
+it is read.
 """
 
 from __future__ import annotations
@@ -111,21 +114,53 @@ class DirectedGraph(_Links):
         )
 
 
-@dataclass(frozen=True)
 class WeightMatrix:
-    """Column-stochastic nonnegative mixing matrix over a digraph."""
+    """Column-stochastic nonnegative mixing matrix C over a digraph, held on the
+    graph's link arrays, shared and not copied: C[dst[k], src[k]] is
+    ``weight[m]`` for the link ``k = links[m]`` that is not a self-loop,
+    C[i, i] is ``diag[i]``, and every other entry is 0.
 
-    entries: np.ndarray
+    `WeightMatrix(g, weight, diag)` takes a graph's arrays;
+    `WeightMatrix(M)` takes a dense square M, whose off-diagonal nonzeros
+    become the links and which reads back as `entries`.  Either is checked
+    once, on the arrays: nonnegative, with column sums within 1e-12 of 1
+    (`check=False` skips that, for the spectral helpers' substochastic C).
+    The dense `entries` are built on first read.
+    """
 
-    def __post_init__(self) -> None:
-        C = self.entries
-        if C.ndim != 2 or C.shape[0] != C.shape[1]:
-            raise ValueError("weight matrix must be square")
-        if np.any(C < 0):
+    def __init__(
+        self,
+        on: DirectedGraph | np.ndarray,
+        weight: np.ndarray | None = None,
+        diag: np.ndarray | None = None,
+        check: bool = True,
+    ) -> None:
+        if not isinstance(on, DirectedGraph):
+            M = np.asarray(on)
+            if M.ndim != 2 or M.shape[0] != M.shape[1]:
+                raise ValueError("weight matrix must be square")
+            off = M.T != 0
+            np.fill_diagonal(off, False)
+            src, dst = np.nonzero(off)  # (src, dst) order: column by column
+            on, weight, diag = DirectedGraph(len(M), src, dst), M[dst, src], M.diagonal()
+            vars(self)["entries"] = M
+        self.n, self.src, self.dst, self.links = on.n, on.src, on.dst, on.links
+        self.weight, self.diag = weight, diag
+        if not check:
+            return
+        if np.any(weight < 0) or np.any(diag < 0):
             raise ValueError("weight matrix must be nonnegative")
-        colsums = C.sum(axis=0)
+        colsums = np.bincount(self.src[self.links], weight, self.n) + diag
         if np.max(np.abs(colsums - 1.0)) > 1e-12:
             raise ValueError("weight matrix columns must sum to 1 within 1e-12")
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense n x n matrix."""
+        C = np.zeros((self.n, self.n))
+        C[self.dst[self.links], self.src[self.links]] = self.weight
+        np.fill_diagonal(C, self.diag)
+        return C
 
 
 def generate_erdos_renyi(
@@ -221,14 +256,13 @@ def build_column_stochastic_weights(
         raise ValueError("weight design needs n >= 2")
     if require_strong and not is_strongly_connected(g):
         raise ValueError("weight design requires a strongly connected digraph")
-    senders, receivers = g.src[g.links], g.dst[g.links]
+    senders = g.src[g.links]
     # out-degrees summed as floats (exact for counts): an int-to-float cast of
     # the counts would touch 64 KiB of numpy code that no other path runs
     w = 1.0 / (1.0 + np.bincount(senders, np.ones(len(senders)), g.n))
-    C = np.zeros((g.n, g.n))
-    C[receivers, senders] = w[senders]
-    np.fill_diagonal(C, w)
-    return WeightMatrix(C)
+    weight = w[senders]
+    del senders  # freed before the check takes its own copy
+    return WeightMatrix(g, weight, w)
 
 
 def dump_edge_list(g: DirectedGraph, path: str | Path) -> None:

@@ -14,10 +14,11 @@ Three engines share one protocol semantics:
   per-node protocol does.  Run in lockstep from the same initialization the
   two produce identical live states up to rounding.
 * AddOptEngine: the delay-free baseline; it mixes with C alone (no delay
-  slices, no in-flight buffer) and ignores the delay map.  All engines
-  multiply through `_mixer`, whose route depends on the matrix alone, so
-  with all delays zero the per-node engine reduces to it bit for bit, and
-  so does the oracle when tau_max = 0.
+  slices, no in-flight buffer) and ignores the delay map.  It and the
+  per-node engine take their route and their nonzeros from C's link arrays,
+  the oracle from `_mixer`'s scan of its matrix, by one rule that depends on
+  the matrix alone; so with all delays zero the per-node engine reduces to
+  the baseline bit for bit, and so does the oracle when tau_max = 0.
 
 All engines share one lifecycle: `Engine(problem, W0, C, delays, alpha)`
 installs the round-0 topology, `set_topology(C, delays)` installs the next
@@ -134,21 +135,33 @@ def _nonzero_product(rows, cols, vals, m: int, width: int):
     return product
 
 
-def _located_nonzeros(S: np.ndarray, d: DelayMap):
-    """The nonzeros of the stacked slices S of d, found from d, not by a scan:
-    link j -> i of delay t at (t*n + i, j), in sender order, which is each
-    row's column order, and node i's self-loop (i, i) after sender i's links.
-    Zero self-loop weights are dropped; the values are read from S."""
-    n, links = S.shape[1], d.links
-    src = d.src[links]
+def _dense_wins(m: int, C: WeightMatrix) -> bool:
+    """Whether the m-row operator that stacks C's weights by delay is
+    multiplied in one BLAS call: its nonzeros are C's links and the nonzeros
+    of its diagonal, and the rule is `_mixer`'s, so the route depends on the
+    matrix alone."""
+    nnz = len(C.links) + np.count_nonzero(C.diag)
+    return m * C.n <= _DENSE_BASE + _DENSE_PER_NONZERO * nnz
+
+
+def _located_nonzeros(C: WeightMatrix, delay):
+    """The nonzeros of the operator that stacks C's weights by delay, found
+    from C's link arrays, not by a scan: link j -> i of delay t (`delay`
+    holds one per link, in C's link order, or is 0) at (t*n + i, j), in
+    sender order, which is each row's column order, and node i's self-loop
+    (i, i) after sender i's links.  Zero weights are dropped."""
+    n, links = C.n, C.links
+    src = C.src[links]
     at = np.arange(len(links)) + src
     loops = np.cumsum(np.bincount(src, minlength=n)) + np.arange(n)
     rows = np.empty(len(links) + n, np.intp)
     cols = np.empty_like(rows)
-    rows[at] = d.delay[links] * n + d.dst[links]
+    vals = np.empty(len(rows))
+    rows[at] = delay * n + C.dst[links]
     cols[at] = src
+    vals[at] = C.weight
     rows[loops] = cols[loops] = np.arange(n)
-    vals = S.ravel()[rows * n + cols]
+    vals[loops] = C.diag
     if np.count_nonzero(vals) < len(vals):
         keep = np.flatnonzero(vals)
         rows, cols, vals = rows[keep], cols[keep], vals[keep]
@@ -242,14 +255,14 @@ class DtacEngine(_EngineBase):
         # zero the stacked operator is C itself, as in AddOptEngine.  (An int
         # max in place of bincount would load numpy code no other step runs.)
         top = len(np.bincount(delays.delay, minlength=1)) - 1
+        # built on the sparse route too only because perfbench pins delays.slice_bytes
         S = build_delay_slices(C, delays).slices[: top + 1].reshape(-1, self.n)
-        # by the domain check, S's nonzeros are the links and C's diagonal ones
-        nnz = len(delays.links) + np.count_nonzero(S[: self.n].diagonal())
-        if S.size <= _DENSE_BASE + _DENSE_PER_NONZERO * nnz:
+        m = len(S)
+        if _dense_wins(m, C):
             self._mix = S.__matmul__
             return
-        m, (rows, cols, vals) = len(S), _located_nonzeros(S, delays)
-        del S  # free the stack before the product's bins are built
+        del S  # by the domain check, delays' links are C's, in its order
+        rows, cols, vals = _located_nonzeros(C, delays.delay[delays.links])
         self._mix = _nonzero_product(rows, cols, vals, m, self.W.shape[1])
 
     def step(self) -> None:
@@ -316,7 +329,11 @@ class AddOptEngine(_EngineBase):
     is a real check."""
 
     def set_topology(self, C: WeightMatrix, delays: DelayMap) -> None:
-        self._mix = _mixer(C.entries, self.W.shape[1])
+        if _dense_wins(self.n, C):
+            self._mix = C.entries.__matmul__
+        else:
+            rows, cols, vals = _located_nonzeros(C, 0)
+            self._mix = _nonzero_product(rows, cols, vals, self.n, self.W.shape[1])
 
     def step(self) -> None:
         self.W = self._update_live(self._mix(self.W))

@@ -41,6 +41,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .delays import AugmentedMatrix, DelayMap, build_augmented_matrix
+from .graphs import WeightMatrix
 
 # rounds of the weight-recursion pilot run behind the mixing constants
 PILOT_HORIZON = 500
@@ -353,11 +354,11 @@ class SpectralReport:
         return [(f.name, repr(getattr(self, f.name))) for f in fields(self) if f.repr]
 
 
-def build_spectral_report(C: np.ndarray, d: DelayMap) -> SpectralReport:
+def build_spectral_report(C: WeightMatrix | np.ndarray, d: DelayMap) -> SpectralReport:
     """The certificate of C under a delay map, with the diagnostics around
     it: rho(C) and its power bound, sigma1 of C alone, and the 2-norms."""
-    C = np.asarray(C, dtype=float)
     aug = build_augmented_matrix(C, d)
+    C = C.entries if isinstance(C, WeightMatrix) else np.asarray(C, dtype=float)
     cert = certify(aug)  # checks C's column sums first
     pi = perron_vector(aug)
     rho_C = spectral_radius(C)

@@ -79,6 +79,20 @@ def test_switching_exponential_graph_is_a_config_error(command, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("graph_type", ["erdos-renyi", "exponential"])
+@pytest.mark.parametrize("command", ["spectral", "check-bound"])
+def test_certificate_of_a_switching_config_is_a_config_error(command, graph_type, capsys):
+    """A certificate covers one fixed topology; no epoch of a switching run
+    uses the static draw it would certify."""
+    code = main([command, "--set", "switching.enabled=true", "--set", f"graph.type={graph_type}"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: {command} certifies one fixed topology; set switching.enabled=false\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["run", "compare"])
 def test_underdetermined_least_squares_exits_one_before_out_is_made(command, tmp_path, capsys):
     out = tmp_path / "out"

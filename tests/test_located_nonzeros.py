@@ -1,7 +1,7 @@
-"""The per-node engine's stacked operator, located from the delay map, against
-a scan of the dense slice stack: the same nonzeros, the same route, bitwise
-the same products; and its set-up never holds the stack and the product's
-bins at once."""
+"""The per-node engine's stacked operator, located from the weights' link
+arrays and the delay map, against a scan of the dense slice stack: the same
+nonzeros, the same route, bitwise the same products; and its set-up never
+holds the stack and the product's bins at once."""
 
 import tracemalloc
 
@@ -76,7 +76,7 @@ def test_located_operator_is_the_scanned_one(setting, dim):
     C, d = setting
     S = stack(C, d)
     n = S.shape[1]
-    rows, cols, vals = _located_nonzeros(S, d)
+    rows, cols, vals = _located_nonzeros(C, d.delay[d.links])
     flat = rows * n + cols
     assert np.array_equal(np.sort(flat), np.flatnonzero(S))  # each nonzero once
     assert vals.tobytes() == S.ravel()[flat].tobytes()

@@ -34,12 +34,14 @@ LOGISTIC = ("--set", "graph.type=exponential", "--set", "graph.n=16",
 
 # (name, argv, ...): the README commands, one run under each engine and cost
 # family, large sparse runs whose products take the nonzero (bincount) route
-# under each delay mode, a switching run whose epochs take that route,
-# a one-point sweep that writes the edge list, delay map and trace of an
+# under each delay mode and under the delay-free engine, a switching run
+# whose epochs take that route, a one-point sweep that writes the edge list, delay map and trace of an
 # exponential graph whose hops wrap unevenly (n=257) on least-squares costs,
 # a switching compare and sweep, a sweep whose graph and delay files
-# `spectral` and `check-bound` then certify, `check-bound` on both sides of
-# its verdict, and a graph that cannot be sampled strongly connected (exit 1)
+# `spectral` and `check-bound` then certify, two sweeps on different graphs
+# under two tags, `spectral` on one's graph with the other's delays (exit 1),
+# `check-bound` on both sides of its verdict, and a graph that cannot be
+# sampled strongly connected (exit 1)
 COMMANDS = (
     ("run", ("run",)),
     ("run-oracle", ("run", "--set", "run.engine=augmented-oracle")),
@@ -60,6 +62,9 @@ COMMANDS = (
     ("run-sparse-homogeneous", ("run", "--set", "graph.type=exponential", "--set", "graph.n=200",
                                 "--set", "delay.tau_max=3", "--set", "delay.mode=homogeneous-max",
                                 "--set", "run.alpha=1e-4", "--set", "run.max_iters=200")),
+    ("run-addopt-sparse", ("run", "--set", "graph.type=exponential", "--set", "graph.n=400",
+                           "--set", "delay.tau_max=10", "--set", "run.engine=addopt-nodelay",
+                           "--set", "run.alpha=1e-4", "--set", "run.max_iters=200")),
     ("run-switching-sparse", ("run", "--set", "switching.enabled=true", "--set", "graph.n=100",
                               "--set", "graph.p=0.06", "--set", "run.max_iters=300")),
     ("sweep", ("sweep", "--set", "sweep.tau_max=0,5,15", "--set", "sweep.alpha=0.001,0.005",
@@ -75,6 +80,15 @@ COMMANDS = (
      ("spectral", "--graph-file", "run_graph.txt", "--delay-file", "run_tau3_delays.txt",
       "--record"),
      ("check-bound", "--graph-file", "run_graph.txt", "--delay-file", "run_tau3_delays.txt")),
+    ("sweep-two-tags", ("sweep", "--set", "experiment.tag=a", "--set", "delay.tau_max=3",
+                        "--set", "run.max_iters=100"),
+     ("sweep", "--set", "experiment.tag=b", "--set", "graph.seed=9", "--set", "delay.tau_max=3",
+      "--set", "run.max_iters=100")),
+    ("spectral-mismatched-files", ("sweep", "--set", "experiment.tag=a", "--set", "delay.tau_max=3",
+                                   "--set", "run.max_iters=1"),
+     ("sweep", "--set", "experiment.tag=b", "--set", "graph.seed=9", "--set", "delay.tau_max=3",
+      "--set", "run.max_iters=1"),
+     ("spectral", "--graph-file", "a_graph.txt", "--delay-file", "b_tau3_delays.txt")),
     ("spectral", ("spectral", "--set", "delay.tau_max=5", "--record")),
     ("check-bound", ("check-bound", "--set", "run.alpha=0.001")),
     ("check-bound-certified", ("check-bound", "--set", "run.alpha=1e-5")),
