@@ -160,7 +160,7 @@ def _suite_weights() -> None:
         diag = np.diag(entries)
         if np.any(diag <= 0):
             raise AssertionError("weight diagonal must stay positive")
-        if not np.all(entries[g.dst[g.links], g.src[g.links]]):
+        if not np.all(entries[g.dst, g.src]):
             raise AssertionError("missing weight on an edge")
 
 
@@ -383,8 +383,9 @@ def main(argv: list[str] | None = None) -> int:
     except EngineFault as exc:
         print(f"engine fault: {exc}", file=sys.stderr)
         return EXIT_ENGINE
-    # ValueError covers ConfigError and numpy's LinAlgError
-    except (ValueError, OSError, graphs.RetryBudgetError, costs.OracleError) as exc:
+    # ValueError covers ConfigError and numpy's LinAlgError; MemoryError an
+    # input whose arrays are larger than memory
+    except (ValueError, OSError, MemoryError, graphs.RetryBudgetError, costs.OracleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -17,12 +17,14 @@ is column stochastic whenever C is, so total mass is conserved even while
 some of it is in transit.
 
 A `DelayMap` is its bound and three integer arrays in a graph's link
-order: link ``src[k] -> dst[k]`` has delay ``delay[k]``.  `assign_delays`
-shares the graph's arrays, `links` included, and does not check them again.
-`build_delay_slices` checks the map's domain on the link arrays: at once
-when the map shares the weights' arrays, else by one comparison of the two
-link lists, building sets of links only to word its error.  It moves every
-weight into its slice with one scatter.
+order: link ``src[k] -> dst[k]`` has delay ``delay[k]``.  No link is a
+self-loop (a node's own share stays on the diagonal at delay 0), so
+`from_dict` (and a delay file) drops ``(j, j): 0``.  `assign_delays` shares
+the graph's arrays and does not check them again.  `build_delay_slices`
+checks the map's domain on the link arrays: at once when the map shares the
+weights' arrays, else by one comparison of the two link lists, building sets
+of links only to word its error.  It moves every weight into its slice with
+one scatter.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .graphs import DirectedGraph, Edge, WeightMatrix, _columns, _first_outside,
 @dataclass(frozen=True, eq=False)
 class DelayMap(_Links):
     """Integer delay ``delay[k] <= tau_max`` on each link ``src[k] -> dst[k]``, in
-    link order, and 0 on self-loops; `from_dict` takes a ``{(j, i): delay}`` map."""
+    link order, none a self-loop; `from_dict` takes a ``{(j, i): delay}`` map."""
 
     src: np.ndarray
     dst: np.ndarray
@@ -56,14 +58,18 @@ class DelayMap(_Links):
         k = _first_outside(delay, T + 1)
         if k < len(delay):
             raise ValueError(f"delay {delay[k]} on ({src[k]}, {dst[k]}) outside [0, {T}]")
-        # a nonzero delay off the links sits on a self-loop
-        if np.count_nonzero(delay[self.links]) != np.count_nonzero(delay):
-            raise ValueError("self-loop delays must be 0")
+        k = self._first_loop()
+        if k < len(delay):
+            if delay[k]:
+                raise ValueError("self-loop delays must be 0")
+            raise ValueError(f"link ({src[k]}, {dst[k]}) is a self-loop")
 
     @classmethod
     def from_dict(cls, tau: Mapping[Edge, int], tau_max: int) -> DelayMap:
-        """The map with delay ``tau[(j, i)]`` on each link, sorted once."""
-        return cls(*_columns([(j, i, t) for (j, i), t in sorted(tau.items())], 3), tau_max)
+        """The map with delay ``tau[(j, i)]`` on each link, sorted once; a
+        self-loop ``(j, j)`` of delay 0 is dropped."""
+        rows = [(j, i, t) for (j, i), t in sorted(tau.items()) if j != i or t != 0]
+        return cls(*_columns(rows, 3), tau_max)
 
     @cached_property
     def tau(self) -> Mapping[Edge, int]:
@@ -83,30 +89,21 @@ def assign_delays(
     mode 'uniform-random': independent uniform draws on {0..tau_max}, one
     `integers(0, tau_max + 1, size=|E|)` call;
     mode 'homogeneous-max': every link gets tau_max;
-    mode 'zero': all delays 0.  Self-loops always get 0.
+    mode 'zero': all delays 0.
     """
     if tau_max < 0:
         raise ValueError("tau_max must be >= 0")
     if mode == "zero" or tau_max == 0:
-        draws = 0
+        delay = np.zeros(len(g.src), dtype=np.intp)
     elif mode == "homogeneous-max":
-        draws = tau_max
+        delay = np.full(len(g.src), tau_max, dtype=np.intp)
     elif mode == "uniform-random":
-        draws = np.random.default_rng(seed).integers(0, tau_max + 1, size=len(g.src))
-        if len(g.links) == len(g.src):  # no self-loop to keep at 0
-            return _on_graph(g, draws, tau_max)
-        draws = draws[g.links]
+        delay = np.random.default_rng(seed).integers(0, tau_max + 1, size=len(g.src))
     else:
         raise ValueError(f"unknown delay mode {mode!r}")
-    delay = np.zeros(len(g.src), dtype=np.intp)
-    delay[g.links] = draws  # self-loops keep 0
-    return _on_graph(g, delay, tau_max)
-
-
-def _on_graph(g: DirectedGraph, delay: np.ndarray, tau_max: int) -> DelayMap:
-    """The map of `delay` on g's checked link arrays, `links` included."""
+    # the map of `delay` on g's checked link arrays, not checked again
     d = object.__new__(DelayMap)
-    vars(d).update(src=g.src, dst=g.dst, delay=delay, tau_max=tau_max, links=g.links)
+    vars(d).update(src=g.src, dst=g.dst, delay=delay, tau_max=tau_max)
     return d
 
 
@@ -121,35 +118,26 @@ def build_delay_slices(C: WeightMatrix | np.ndarray, d: DelayMap) -> DelaySlices
     """Split C into per-delay slices. Each weight is moved, never recomputed,
     so the slices sum back to C exactly.
 
-    Diagonal weights (implicit self-loops) go to slice 0.  The delay map's
-    links that are not self-loops must be C's: that holds at once when the
-    map shares C's link arrays, as every `assign_delays` map does, and is
-    otherwise one comparison of the two sorted lists of those links.
+    The diagonal goes to slice 0.  The delay map's links must be C's: that
+    holds at once when the map shares C's link arrays, as every
+    `assign_delays` map does, and is otherwise one comparison of the two
+    sorted link lists.
     """
     if not isinstance(C, WeightMatrix):
         C = WeightMatrix(np.asarray(C, dtype=float), check=False)
-    if not (d.src is C.src and d.dst is C.dst or _same_links(C, d)):
+    if not (d.src is C.src and d.dst is C.dst or np.array_equal((C.src, C.dst), (d.src, d.dst))):
         raise _domain_error(C, d)
     n, T = C.n, d.tau_max
-    at = np.ravel_multi_index((C.dst[C.links], C.src[C.links]), (n, n))
+    at = np.ravel_multi_index((C.dst, C.src), (n, n))
     slices = np.zeros((T + 1, n, n))
     np.fill_diagonal(slices[0], C.diag)
-    slices.reshape(T + 1, -1)[d.delay[d.links], at] = C.weight
+    slices.reshape(T + 1, -1)[d.delay, at] = C.weight
     return DelaySlices(slices=slices)
 
 
-def _same_links(C: WeightMatrix, d: DelayMap) -> bool:
-    """Whether d and C list the same links that are not self-loops (both
-    lists are sorted, so as arrays)."""
-    a, b = C.links, d.links
-    return len(a) == len(b) and np.array_equal(
-        (C.src[a], C.dst[a]), (d.src[b], d.dst[b])
-    )
-
-
 def _domain_error(C: WeightMatrix, d: DelayMap) -> ValueError:
-    pattern = set(zip(C.src[C.links], C.dst[C.links]))
-    mapped = {e for e in d.tau if e[0] != e[1]}
+    pattern = set(zip(C.src, C.dst))
+    mapped = set(d.tau)
     missing = sorted(pattern - mapped)[:5]
     spurious = sorted(mapped - pattern)[:5]
     return ValueError(
@@ -201,14 +189,14 @@ def dump_delay_map(d: DelayMap, path: str | Path) -> None:
 def load_delay_map(path: str | Path) -> DelayMap:
     """Read a `j i tau` list.  The bound is the `# tau_max=<t>` line that
     `dump_delay_map` writes first; a file without it is bounded by its
-    largest delay.  A link listed twice is an error."""
+    largest delay.  A link listed twice is an error; a `j j 0` line is dropped."""
     tau: dict[Edge, int] = {}
     tau_max = None
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if lineno == 1 and line.startswith("# tau_max="):
             bound = line.removeprefix("# tau_max=")
-            if not bound.isdigit():
+            if not bound.isdecimal():
                 raise ValueError(f"{path}:1: expected '# tau_max=<t>', got {raw!r}")
             tau_max = int(bound)
         if not line or line.startswith("#"):

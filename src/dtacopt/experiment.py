@@ -9,6 +9,7 @@ reproduces its CSVs byte for byte.  A sweep crosses `sweep.tau_max` with
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -58,9 +59,12 @@ def _choice(*names: str) -> tuple:
 
 # key -> (parser, default, help, rule).  A rule is (test, phrase): every value
 # must pass the test, and comparisons are written so that NaN fails them; a
-# sweep list applies it to each entry.  Only str and bool keys have none.
+# sweep list applies it to each entry.  Only the bool keys have none.
 CONFIG_KEYS: dict[str, tuple] = {
-    "experiment.tag": (str, "run", "prefix for output file names", None),
+    "experiment.tag": (
+        str, "run", "prefix for output file names",
+        (lambda v: "/" not in v and os.sep not in v, "must not contain a path separator"),
+    ),
     "graph.type": _choice("erdos-renyi", "exponential"),
     "graph.n": (int, 10, "number of nodes", (lambda v: v >= 2, "need at least 2 nodes")),
     "graph.p": (

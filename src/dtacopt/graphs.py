@@ -9,10 +9,11 @@ column sum to one and keeps the diagonal positive.
 A `DirectedGraph` is its node count and two integer arrays: link k is
 ``src[k] -> dst[k]``, in strictly increasing ``(src, dst)`` order, which
 `np.nonzero` of the ER sampler's adjacency mask returns and `from_edges`
-sorts into.  The builders read the arrays with whole-array operations.  A
-`WeightMatrix` shares them: one weight per link and the diagonal, |E| + n
-numbers, checked on those arrays; the dense n x n matrix is built only when
-it is read.
+sorts into.  No link is a self-loop: a node keeps its own share through the
+diagonal, so `from_edges` (and an edge-list file) drops ``(j, j)``.  The
+builders read the arrays with whole-array operations.  A `WeightMatrix`
+shares them: one weight per link and the diagonal, |E| + n numbers, checked
+on those arrays; the dense n x n matrix is built only when it is read.
 """
 
 from __future__ import annotations
@@ -75,16 +76,18 @@ class _Links:
             (j0, i0), (j, i) = (src[k], dst[k]), (src[k + 1], dst[k + 1])
             raise ValueError(f"link ({j}, {i}) after ({j0}, {i0}) is out of order")
 
-    @cached_property
-    def links(self) -> np.ndarray:
-        """Positions in the link arrays of the links that are not self-loops."""
-        return np.flatnonzero(self.src - self.dst)
+    def _first_loop(self) -> int:
+        """Position of the first self-loop ``j -> j`` in the link arrays, else
+        their length."""
+        gap = self.src - self.dst
+        return len(gap) if np.count_nonzero(gap) == len(gap) else gap.tolist().index(0)
 
 
 @dataclass(frozen=True, eq=False)
 class DirectedGraph(_Links):
-    """Digraph on nodes ``0..n-1`` with links ``src[k] -> dst[k]`` in strictly
-    increasing ``(src, dst)`` order; `from_edges` takes ``(j, i)`` pairs."""
+    """Digraph on nodes ``0..n-1`` with links ``src[k] -> dst[k]``, none a
+    self-loop, in strictly increasing ``(src, dst)`` order; `from_edges` takes
+    ``(j, i)`` pairs."""
 
     n: int
     src: np.ndarray
@@ -97,14 +100,18 @@ class DirectedGraph(_Links):
         k = min(_first_outside(self.src, self.n), _first_outside(self.dst, self.n))
         if k < len(self.src):
             raise ValueError(f"edge ({self.src[k]}, {self.dst[k]}) out of range for n={self.n}")
+        k = self._first_loop()
+        if k < len(self.src):
+            raise ValueError(f"edge ({self.src[k]}, {self.dst[k]}) is a self-loop")
 
     @classmethod
     def from_edges(cls, edges: Iterable[Edge]) -> DirectedGraph:
         """The graph of the links ``(j, i)`` in `edges` (a repeat counts once),
-        sorted once, on nodes 0 to the largest index listed (one if none is)."""
+        sorted once, on nodes 0 to the largest index listed (one if none is);
+        a self-loop ``(j, j)`` counts toward the nodes and is dropped."""
         pairs = sorted(set(edges))
         n = 1 + max(max(j, i) for j, i in pairs) if pairs else 1
-        return cls(n, *_columns(pairs, 2))
+        return cls(n, *_columns([(j, i) for j, i in pairs if j != i], 2))
 
     @cached_property
     def _strongly_connected(self) -> bool:
@@ -117,8 +124,7 @@ class DirectedGraph(_Links):
 class WeightMatrix:
     """Column-stochastic nonnegative mixing matrix C over a digraph, held on the
     graph's link arrays, shared and not copied: C[dst[k], src[k]] is
-    ``weight[m]`` for the link ``k = links[m]`` that is not a self-loop,
-    C[i, i] is ``diag[i]``, and every other entry is 0.
+    ``weight[k]``, C[i, i] is ``diag[i]``, and every other entry is 0.
 
     `WeightMatrix(g, weight, diag)` takes a graph's arrays;
     `WeightMatrix(M)` takes a dense square M, whose off-diagonal nonzeros
@@ -144,13 +150,13 @@ class WeightMatrix:
             src, dst = np.nonzero(off)  # (src, dst) order: column by column
             on, weight, diag = DirectedGraph(len(M), src, dst), M[dst, src], M.diagonal()
             vars(self)["entries"] = M
-        self.n, self.src, self.dst, self.links = on.n, on.src, on.dst, on.links
+        self.n, self.src, self.dst = on.n, on.src, on.dst
         self.weight, self.diag = weight, diag
         if not check:
             return
         if np.any(weight < 0) or np.any(diag < 0):
             raise ValueError("weight matrix must be nonnegative")
-        colsums = np.bincount(self.src[self.links], weight, self.n) + diag
+        colsums = np.bincount(self.src, weight, self.n) + diag
         if np.max(np.abs(colsums - 1.0)) > 1e-12:
             raise ValueError("weight matrix columns must sum to 1 within 1e-12")
 
@@ -158,7 +164,7 @@ class WeightMatrix:
     def entries(self) -> np.ndarray:
         """The dense n x n matrix."""
         C = np.zeros((self.n, self.n))
-        C[self.dst[self.links], self.src[self.links]] = self.weight
+        C[self.dst, self.src] = self.weight
         np.fill_diagonal(C, self.diag)
         return C
 
@@ -244,8 +250,7 @@ def build_column_stochastic_weights(
     g: DirectedGraph, require_strong: bool = True
 ) -> WeightMatrix:
     """Uniform push-sum weights: C[i, j] = 1 / (1 + outdeg(j)) on each link and
-    on the (implicit) self-loop, so each sender splits its mass evenly.
-    Self-loops of g add no weight.
+    on the diagonal, so each sender splits its mass evenly.
 
     Strong connectivity is required by default; a switching plan in the
     B-connected regime passes require_strong=False, as it does to
@@ -256,13 +261,10 @@ def build_column_stochastic_weights(
         raise ValueError("weight design needs n >= 2")
     if require_strong and not is_strongly_connected(g):
         raise ValueError("weight design requires a strongly connected digraph")
-    senders = g.src[g.links]
     # out-degrees summed as floats (exact for counts): an int-to-float cast of
     # the counts would touch 64 KiB of numpy code that no other path runs
-    w = 1.0 / (1.0 + np.bincount(senders, np.ones(len(senders)), g.n))
-    weight = w[senders]
-    del senders  # freed before the check takes its own copy
-    return WeightMatrix(g, weight, w)
+    w = 1.0 / (1.0 + np.bincount(g.src, np.ones(len(g.src)), g.n))
+    return WeightMatrix(g, w[g.src], w)
 
 
 def dump_edge_list(g: DirectedGraph, path: str | Path) -> None:
@@ -272,7 +274,8 @@ def dump_edge_list(g: DirectedGraph, path: str | Path) -> None:
 
 
 def load_edge_list(path: str | Path) -> DirectedGraph:
-    """Read a `j i` edge list on nodes 0..(largest index seen)."""
+    """Read a `j i` edge list on nodes 0..(largest index seen); a `j j` line
+    counts toward the nodes and is dropped."""
     edges = set()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()

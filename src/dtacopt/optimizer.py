@@ -140,7 +140,7 @@ def _dense_wins(m: int, C: WeightMatrix) -> bool:
     multiplied in one BLAS call: its nonzeros are C's links and the nonzeros
     of its diagonal, and the rule is `_mixer`'s, so the route depends on the
     matrix alone."""
-    nnz = len(C.links) + np.count_nonzero(C.diag)
+    nnz = len(C.src) + np.count_nonzero(C.diag)
     return m * C.n <= _DENSE_BASE + _DENSE_PER_NONZERO * nnz
 
 
@@ -148,16 +148,15 @@ def _located_nonzeros(C: WeightMatrix, delay):
     """The nonzeros of the operator that stacks C's weights by delay, found
     from C's link arrays, not by a scan: link j -> i of delay t (`delay`
     holds one per link, in C's link order, or is 0) at (t*n + i, j), in
-    sender order, which is each row's column order, and node i's self-loop
-    (i, i) after sender i's links.  Zero weights are dropped."""
-    n, links = C.n, C.links
-    src = C.src[links]
-    at = np.arange(len(links)) + src
+    sender order, which is each row's column order, and node i's diagonal
+    entry (i, i) after sender i's links.  Zero weights are dropped."""
+    n, src = C.n, C.src
+    at = np.arange(len(src)) + src
     loops = np.cumsum(np.bincount(src, minlength=n)) + np.arange(n)
-    rows = np.empty(len(links) + n, np.intp)
+    rows = np.empty(len(src) + n, np.intp)
     cols = np.empty_like(rows)
     vals = np.empty(len(rows))
-    rows[at] = delay * n + C.dst[links]
+    rows[at] = delay * n + C.dst
     cols[at] = src
     vals[at] = C.weight
     rows[loops] = cols[loops] = np.arange(n)
@@ -262,7 +261,7 @@ class DtacEngine(_EngineBase):
             self._mix = S.__matmul__
             return
         del S  # by the domain check, delays' links are C's, in its order
-        rows, cols, vals = _located_nonzeros(C, delays.delay[delays.links])
+        rows, cols, vals = _located_nonzeros(C, delays.delay)
         self._mix = _nonzero_product(rows, cols, vals, m, self.W.shape[1])
 
     def step(self) -> None:

@@ -22,7 +22,7 @@ def column_stochastic_weights(g, require_strong: bool = True) -> np.ndarray:
         raise ValueError("weight design needs n >= 2")
     if require_strong and not is_strongly_connected(g):
         raise ValueError("weight design requires a strongly connected digraph")
-    senders, receivers = g.src[g.links], g.dst[g.links]
+    senders, receivers = g.src, g.dst
     w = 1.0 / (1.0 + np.bincount(senders, np.ones(len(senders)), g.n))
     C = np.zeros((g.n, g.n))
     C[receivers, senders] = w[senders]
@@ -36,7 +36,7 @@ def delay_slices(M: np.ndarray, d) -> np.ndarray:
     nonzeros of M, and be as many as M's off-diagonal nonzeros."""
     n = M.shape[0]
     try:
-        at = np.ravel_multi_index((d.dst[d.links], d.src[d.links]), M.shape)
+        at = np.ravel_multi_index((d.dst, d.src), M.shape)
     except ValueError:  # a link outside 0..n-1
         raise domain_error(M, d) from None
     weights = M.ravel()[at]
@@ -45,7 +45,7 @@ def delay_slices(M: np.ndarray, d) -> np.ndarray:
         raise domain_error(M, d)
     slices = np.zeros((d.tau_max + 1, n, n))
     np.fill_diagonal(slices[0], M.diagonal())
-    slices.reshape(d.tau_max + 1, -1)[d.delay[d.links], at] = weights
+    slices.reshape(d.tau_max + 1, -1)[d.delay, at] = weights
     return slices
 
 

@@ -156,6 +156,7 @@ def test_sweep_subcommand_writes_summary(tmp_path, capsys):
         (["cost.type=logistic", "cost.lambda=inf"], "cost.lambda"),
         (["cost.type=svm", "cost.margin=inf"], "cost.margin"),
         (["cost.type=svm", "cost.smoothness=inf"], "cost.smoothness"),
+        (["experiment.tag=a/b"], "experiment.tag"),
     ],
 )
 def test_bad_sweep_entry_exits_one_before_writing(sets, key, tmp_path, capsys):
@@ -319,8 +320,10 @@ def test_delay_file_link_outside_the_graph_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "option, text, expected",
     [("--graph-file", "0 1\n0 x\n", "2: expected 'j i', got '0 x'"),
-     ("--delay-file", "0 1 one\n", "1: expected 'j i tau', got '0 1 one'")],
-    ids=["graph-file", "delay-file"],
+     ("--delay-file", "0 1 one\n", "1: expected 'j i tau', got '0 1 one'"),
+     ("--delay-file", "# tau_max=\u00b2\n0 1 0\n",
+      "1: expected '# tau_max=<t>', got '# tau_max=\u00b2'")],
+    ids=["graph-file", "delay-file", "delay-bound-superscript"],
 )
 def test_non_integer_field_in_an_input_file_names_its_line(
     tmp_path, capsys, option, text, expected
@@ -347,6 +350,17 @@ def test_malformed_link_file_is_a_config_error(tmp_path, capsys, graph, delays, 
         args += ["--delay-file", str(tmp_path / "d.txt")]
     assert main(args) == 1
     assert capsys.readouterr().err == f"config error: {expected}\n"
+
+
+def test_an_input_larger_than_memory_is_a_config_error(tmp_path, capsys):
+    # the augmented matrix would be (2 * 10**7)**2 doubles: larger than any
+    # address space, so the request fails without touching memory
+    (tmp_path / "g.txt").write_text("0 1\n1 0\n")
+    (tmp_path / "d.txt").write_text("# tau_max=10000000\n0 1 0\n1 0 0\n")
+    code = main(["check-bound", "--graph-file", str(tmp_path / "g.txt"),
+                 "--delay-file", str(tmp_path / "d.txt")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: Unable to allocate")
 
 
 def test_package_loads_no_module_beyond_numpy_and_the_standard_library():

@@ -41,9 +41,9 @@ def test_delay_map_validation():
 
 def test_delay_map_fields_are_its_arrays_and_bound():
     assert [f.name for f in fields(DelayMap)] == ["src", "dst", "delay", "tau_max"]
-    d = DelayMap.from_dict({(1, 0): 2, (0, 1): 0, (1, 1): 0}, tau_max=2)
-    assert (d.src.tolist(), d.dst.tolist(), d.delay.tolist()) == ([0, 1, 1], [1, 0, 1], [0, 2, 0])
-    assert list(d.tau.items()) == [((0, 1), 0), ((1, 0), 2), ((1, 1), 0)]
+    d = DelayMap.from_dict({(1, 0): 2, (0, 1): 0, (1, 1): 0}, tau_max=2)  # (1, 1) dropped
+    assert (d.src.tolist(), d.dst.tolist(), d.delay.tolist()) == ([0, 1], [1, 0], [0, 2])
+    assert list(d.tau.items()) == [((0, 1), 0), ((1, 0), 2)]
     with pytest.raises(TypeError):
         d.tau[0, 1] = 1  # a read-only view of the arrays
     assert d != DelayMap(d.src, d.dst, d.delay, d.tau_max)  # compared by identity
@@ -61,9 +61,10 @@ def test_delay_map_fields_are_its_arrays_and_bound():
         ([0, 0, 1], [0, 1, 0], [1, 0, 0], r"^self-loop delays must be 0$"),
         ([[0, 1]], [[1, 0]], [[0, 0]], r"^link arrays must be 1-D integer arrays of equal length$"),
         ([0.0, 1.0], [1, 0], [0, 0], r"^link arrays must be 1-D integer arrays of equal length$"),
+        ([0, 1, 1], [1, 0, 1], [0, 0, 0], r"^link \(1, 1\) is a self-loop$"),
     ],
     ids=["unsorted", "repeated", "short-delay", "short-dst", "delay-above-bound",
-         "negative-delay", "delayed-self-loop", "two-dimensional", "float-sender"],
+         "negative-delay", "delayed-self-loop", "two-dimensional", "float-sender", "self-loop"],
 )
 def test_delay_map_rejects_malformed_arrays(src, dst, delay, message):
     with pytest.raises(ValueError, match=message):
@@ -103,11 +104,10 @@ def test_assign_delays_shares_the_checked_graph_arrays(mode, monkeypatch):
     g = generate_erdos_renyi(10, 0.5, seed=7)
     monkeypatch.setattr(DelayMap, "_store", None)  # a map that re-checks fails
     d = assign_delays(g, 3, mode, seed=7)
-    assert d.src is g.src and d.dst is g.dst and d.links is g.links
+    assert d.src is g.src and d.dst is g.dst
     monkeypatch.undo()
     checked = DelayMap(g.src, g.dst, d.delay, 3)
     assert checked.tau == d.tau and checked.tau_max == d.tau_max == 3
-    assert np.array_equal(checked.links, d.links)
 
 
 def test_assign_delays_rejects_unknown_mode():
@@ -244,4 +244,6 @@ def test_delay_file_keeps_a_bound_above_its_largest_delay(tmp_path):
     path.write_text("# tau_max=five\n")
     with pytest.raises(ValueError, match="delays.txt:1: expected '# tau_max=<t>'"):
         load_delay_map(path)
+    path.write_text("# tau_max=\u0663\n")  # a decimal digit that int() reads as 3
+    assert load_delay_map(path).tau_max == 3
 

@@ -115,7 +115,7 @@ def test_strong_connectivity_on_known_graphs():
 def test_edge_arrays_follow_sorted_edges(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("2 0\n0 2\n1 1\n0 1\n0 2\n")
-    assert links(load_edge_list(path)) == [(0, 1), (0, 2), (1, 1), (2, 0)]
+    assert links(load_edge_list(path)) == [(0, 1), (0, 2), (2, 0)]  # `1 1` dropped
     er = generate_erdos_renyi(9, 0.2, seed=4, require_strong=False)
     mask = np.random.default_rng(4).random((9, 9)) < 0.2
     np.fill_diagonal(mask, False)
@@ -173,10 +173,11 @@ def test_out_of_range_edge_error_names_the_smallest_edge():
         ([0], [1, 0], r"^link arrays must be 1-D integer arrays of equal length$"),
         ([[0]], [[1]], r"^link arrays must be 1-D integer arrays of equal length$"),
         ([0.5], [1], r"^link arrays must be 1-D integer arrays of equal length$"),
+        ([0, 1, 1], [1, 0, 1], r"^edge \(1, 1\) is a self-loop$"),
     ],
     ids=["receiver-past-n", "negative-sender", "sender-past-n", "unsorted",
          "unsorted-receivers", "repeated", "short-dst", "short-src", "two-dimensional",
-         "float-sender"],
+         "float-sender", "self-loop"],
 )
 def test_graph_rejects_malformed_arrays(src, dst, message):
     with pytest.raises(ValueError, match=message):

@@ -33,22 +33,26 @@ MODES = ("uniform-random", "homogeneous-max", "zero")
 @st.composite
 def delayed_settings(draw):
     """(C, d) on 2..300 nodes, a mean out-degree from 0.5 to 40, so that both
-    routes occur; self-loops in the map in about half of the draws, and a
-    zero diagonal entry of C in about half."""
+    routes occur; in about half of the draws the pairs include self-loops and
+    go through `from_edges`, which drops them (`(n-1, n-1)` keeps n); a zero
+    diagonal entry of C in about half."""
     n = draw(st.integers(2, 300) | st.integers(100, 300))
     degree = draw(st.sampled_from((0.5, 1.0, 2.0, 4.0, 12.0, 40.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mask = rng.random((n, n)) < min(1.0, degree / n)
     if draw(st.booleans()):
         np.fill_diagonal(mask, False)
-    g = DirectedGraph(n, *np.nonzero(mask))
+        g = DirectedGraph(n, *np.nonzero(mask))
+    else:
+        pairs = zip(*(a.tolist() for a in np.nonzero(mask)))
+        g = DirectedGraph.from_edges([*pairs, (n - 1, n - 1)])
     d = assign_delays(g, draw(st.integers(0, 6)), draw(st.sampled_from(MODES)), rng)
     C = build_column_stochastic_weights(g, require_strong=False).entries
-    senders = g.src[g.links]
+    senders = g.src
     if len(senders) and draw(st.booleans()):  # j gives all its mass to its out-links
         j = senders[draw(st.integers(0, len(senders) - 1))]
         C[j, j] = 0.0
-        C[g.dst[g.links][senders == j], j] = 1.0 / np.count_nonzero(senders == j)
+        C[g.dst[senders == j], j] = 1.0 / np.count_nonzero(senders == j)
     return WeightMatrix(C), d
 
 
@@ -76,7 +80,7 @@ def test_located_operator_is_the_scanned_one(setting, dim):
     C, d = setting
     S = stack(C, d)
     n = S.shape[1]
-    rows, cols, vals = _located_nonzeros(C, d.delay[d.links])
+    rows, cols, vals = _located_nonzeros(C, d.delay)
     flat = rows * n + cols
     assert np.array_equal(np.sort(flat), np.flatnonzero(S))  # each nonzero once
     assert vals.tobytes() == S.ravel()[flat].tobytes()
@@ -117,7 +121,7 @@ def test_sparse_set_up_releases_the_stack_before_the_bins():
     engine = DtacEngine(cost, init_states(cost, 3), C, d, 1e-4)
     assert not dense_route(engine._mix)
     stack_bytes = build_delay_slices(C, d).slices.nbytes
-    bins_bytes = (len(d.links) + n) * engine.W.shape[1] * np.dtype(np.intp).itemsize
+    bins_bytes = (len(d.src) + n) * engine.W.shape[1] * np.dtype(np.intp).itemsize
     tracemalloc.start()
     try:
         engine.set_topology(C, d)

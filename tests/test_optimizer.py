@@ -78,7 +78,7 @@ def test_in_transit_buffer_accumulates_same_round():
 def test_single_node_reduces_to_gradient_descent():
     prob = costs.make_quadratic(1, 3, 2)
     C = graphs.WeightMatrix(np.array([[1.0]]))
-    d = delays.DelayMap([0], [0], [0], tau_max=0)
+    d = delays.DelayMap([], [], [], tau_max=0)
     W0 = init_states(prob, seed=3)
     engine = DtacEngine(prob, W0, C, d, alpha=0.05)
     x = W0[0, :3].copy()

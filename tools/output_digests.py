@@ -4,11 +4,13 @@
 
 Runs each entry below as `python -m dtacopt.cli ...` on the package in
 ROOT/src (default: the checkout this script is in), each entry in a fresh
-temporary directory that is also its `--out`; an entry of several commands
+temporary directory that is also its `--out`; an entry of several steps
 runs them in order in the same directory, so a later one can read what an
-earlier one wrote.  For every command it prints the exit code, stdout and
-stderr with the temporary directory replaced by `<out>`, and then, for the
-entry, `sha256 path` for every file written, in sorted order.
+earlier one wrote.  A step is a command's arguments, or a `{name: text}`
+dict of input files to write there.  For every command it prints the exit
+code, stdout and stderr with the temporary directory replaced by `<out>`,
+and then, for the entry, `sha256 path` for every file in the directory, in
+sorted order.
 
 Two checkouts that print the same listing wrote the same bytes, the same
 `STATUS` lines and the same exit codes.  CI diffs the listing of a pull
@@ -31,6 +33,10 @@ from pathlib import Path
 
 LOGISTIC = ("--set", "graph.type=exponential", "--set", "graph.n=16",
             "--set", "cost.type=logistic", "--set", "delay.tau_max=3")
+# a strongly connected 6-node graph and its delays, each listing self-loops
+LOOPED_GRAPH = "0 0\n0 1\n1 2\n1 4\n2 2\n2 3\n3 1\n3 4\n4 5\n5 0\n5 5\n"
+LOOPED_DELAYS = ("# tau_max=3\n0 0 0\n0 1 2\n1 2 1\n1 4 3\n2 2 0\n2 3 0\n3 1 2\n"
+                 "3 4 1\n4 5 3\n5 0 1\n5 5 0\n")
 
 # (name, argv, ...): the README commands, one run under each engine and cost
 # family, large sparse runs whose products take the nonzero (bincount) route
@@ -40,8 +46,9 @@ LOGISTIC = ("--set", "graph.type=exponential", "--set", "graph.n=16",
 # a switching compare and sweep, a sweep whose graph and delay files
 # `spectral` and `check-bound` then certify, two sweeps on different graphs
 # under two tags, `spectral` on one's graph with the other's delays (exit 1),
-# `check-bound` on both sides of its verdict, and a graph that cannot be
-# sampled strongly connected (exit 1)
+# `check-bound` on both sides of its verdict, hand-written graph and delay
+# files that list self-loops (`j j`, `j j 0`; then `j j 1`, exit 1), and a
+# graph that cannot be sampled strongly connected (exit 1)
 COMMANDS = (
     ("run", ("run",)),
     ("run-oracle", ("run", "--set", "run.engine=augmented-oracle")),
@@ -92,6 +99,11 @@ COMMANDS = (
     ("spectral", ("spectral", "--set", "delay.tau_max=5", "--record")),
     ("check-bound", ("check-bound", "--set", "run.alpha=0.001")),
     ("check-bound-certified", ("check-bound", "--set", "run.alpha=1e-5")),
+    ("self-loop-files", {"g.txt": LOOPED_GRAPH, "d.txt": LOOPED_DELAYS,
+                         "delayed.txt": LOOPED_DELAYS.replace("0 0 0", "0 0 1")},
+     ("spectral", "--graph-file", "g.txt", "--delay-file", "d.txt", "--record"),
+     ("check-bound", "--graph-file", "g.txt", "--delay-file", "d.txt"),
+     ("spectral", "--graph-file", "g.txt", "--delay-file", "delayed.txt")),
     ("config-error", ("run", "--set", "graph.n=30", "--set", "graph.p=0.01")),
 )
 
@@ -105,6 +117,10 @@ def digest_lines(root: Path) -> list[str]:
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp).resolve()
             for argv in argvs:
+                if isinstance(argv, dict):
+                    for file, text in argv.items():
+                        (out / file).write_text(text)
+                    continue
                 cmd = [sys.executable, "-m", "dtacopt.cli", *argv]
                 if argv[0] not in NO_OUT:
                     cmd += ["--out", str(out)]
