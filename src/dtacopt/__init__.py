@@ -44,7 +44,6 @@ from .spectral import (
     limit_matrix,
     spectral_radius,
     step_size_bound,
-    verify_spectral_bound,
 )
 
 __version__ = "0.1.0"

@@ -12,11 +12,10 @@ to stdout, machine-readable data to files under --out, errors to stderr.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import costs, delays, graphs, optimizer, spectral
 from .experiment import (
@@ -33,7 +32,6 @@ from .experiment import (
     run_experiment,
     write_trace,
 )
-from .optimizer import EngineFault, StaticSetting
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -95,11 +93,11 @@ def _inputs(args):
     else:
         g = build_graph(cfg)
     if args.delay_file:
-        setting = StaticSetting(
+        setting = optimizer.StaticSetting(
             graphs.build_column_stochastic_weights(g), delays.load_delay_map(args.delay_file)
         )
     else:
-        setting = StaticSetting.draw(
+        setting = optimizer.StaticSetting.draw(
             g, cfg.get("delay.tau_max"), cfg.get("delay.mode"), cfg.get("delay.seed")
         )
     return cfg, setting, build_problem(cfg.with_overrides(**{"graph.n": g.n}))
@@ -150,117 +148,22 @@ def cmd_check_bound(args) -> int:
     return EXIT_OK
 
 
-def _suite_weights() -> None:
-    for seed in (7, 8):
-        g = graphs.generate_erdos_renyi(8, 0.4, seed)
-        entries = graphs.build_column_stochastic_weights(g).entries
-        colsums = entries.sum(axis=0)
-        if np.max(np.abs(colsums - 1.0)) > 1e-12:
-            raise AssertionError("weight matrix columns drifted from 1")
-        diag = np.diag(entries)
-        if np.any(diag <= 0):
-            raise AssertionError("weight diagonal must stay positive")
-        if not np.all(entries[g.dst, g.src]):
-            raise AssertionError("missing weight on an edge")
+def _catalogue(suite: str):
+    """`invariants.<suite>`, which loads the catalogue when it first runs: no
+    other command loads it."""
+    return lambda: getattr(importlib.import_module(".invariants", __package__), suite)()
 
 
-def _suite_gradients() -> None:
-    probs = [
-        costs.make_quadratic(3, 4, 0),
-        costs.make_least_squares(3, 3, 5, 1),
-        costs.make_logistic(3, 3, 12, 0.1, 2),
-        costs.make_smooth_svm(3, 3, 12, 1.0, 5.0, 3),
-    ]
-    rng = np.random.default_rng(0)
-    for prob in probs:
-        for _ in range(5):
-            z = rng.standard_normal(prob.dim)
-            g = prob.total_grad(z)
-            step = 1e-6 * (1.0 + np.linalg.norm(z))
-            fd = np.empty_like(g)
-            for idx in range(prob.dim):
-                e = np.zeros(prob.dim)
-                e[idx] = step
-                fd[idx] = (prob.total(z + e) - prob.total(z - e)) / (2 * step)
-            rel = np.linalg.norm(fd - g) / (1.0 + np.linalg.norm(g))
-            if rel > 1e-5:
-                raise AssertionError(f"gradient check failed: rel err {rel:.2e}")
-        # the einsum path the engines run, against the per-node products of round 0
-        Z = rng.standard_normal((prob.n, prob.dim))
-        G = prob.grads(Z)
-        ref = prob.start_grads(Z)
-        if np.max(np.abs(G - ref)) > 1e-12 * (1.0 + np.max(np.abs(ref))):
-            raise AssertionError("batched grads disagree with the round-0 gradients")
-
-
-def _suite_reduction() -> None:
-    setting = StaticSetting.draw(graphs.generate_erdos_renyi(6, 0.5, 11), 0, "zero", 0)
-    prob = costs.make_quadratic(6, 3, 5)
-    base, *delayed = (
-        cls(prob, optimizer.init_states(prob, 1), setting.weights, setting.delays, 0.01)
-        for cls in (optimizer.AddOptEngine, optimizer.DtacEngine, optimizer.AugmentedEngine)
+SELFTEST_SUITES = tuple(
+    (name, _catalogue(suite))
+    for name, suite in (
+        ("column-stochasticity", "weights_suite"),
+        ("gradient-check", "gradients_suite"),
+        ("reduction", "reduction_suite"),
+        ("oracle-equivalence", "equivalence_suite"),
+        ("conservation", "conservation_suite"),
+        ("spectral-bound", "spectral_bound_suite"),
     )
-    for _ in range(200):
-        base.step()
-        for e in delayed:
-            e.step()
-            if not np.array_equal(e.W, base.W):
-                raise AssertionError("zero-delay engine is not bitwise equal to the baseline")
-
-
-def _suite_equivalence() -> None:
-    for n, tau, seed in ((4, 2, 12), (6, 3, 13)):
-        g = graphs.generate_erdos_renyi(n, 0.6, seed)
-        setting = StaticSetting.draw(g, tau, "uniform-random", seed)
-        C, d = setting.weights, setting.delays
-        prob = costs.make_quadratic(n, 3, seed)
-        e1 = optimizer.DtacEngine(prob, optimizer.init_states(prob, 7), C, d, 0.004)
-        e2 = optimizer.AugmentedEngine(prob, optimizer.init_states(prob, 7), C, d, 0.004)
-        for _ in range(150):
-            e1.step()
-            e2.step()
-            if np.max(np.abs(e1.live_x - e2.live_x)) > 1e-10:
-                raise AssertionError("per-node and matrix-form engines disagree")
-
-
-def _suite_conservation() -> None:
-    setting = StaticSetting.draw(graphs.generate_erdos_renyi(8, 0.5, 21), 4, "uniform-random", 22)
-    prob = costs.make_quadratic(8, 3, 23)
-    e = optimizer.DtacEngine(
-        prob, optimizer.init_states(prob, 2), setting.weights, setting.delays, 0.004
-    )
-    for _ in range(300):
-        e.step()
-        row = optimizer._metrics(e, prob)  # the residuals a trace records
-        if row.mass_error > 1e-10:
-            raise AssertionError("weight mass drifted")
-        if row.grad_tracker_sum_error > 1e-9:
-            raise AssertionError("tracker mass drifted from gradient mass")
-
-
-def _suite_spectral_bound() -> None:
-    rng = np.random.default_rng(31)
-    for trial in range(20):
-        n = 6
-        M = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
-        np.fill_diagonal(M, rng.random(n))
-        rho = spectral.spectral_radius(M)
-        if rho == 0:
-            continue
-        M *= 0.9 / rho
-        edges = sorted((j, i) for i, j in zip(*np.nonzero(M)) if i != j)
-        d = delays.DelayMap.from_dict({e: int(rng.integers(0, 3)) for e in edges}, tau_max=2)
-        if not spectral.verify_spectral_bound(M, d):
-            raise AssertionError("spectral-radius bound violated")
-
-
-SELFTEST_SUITES = (
-    ("column-stochasticity", _suite_weights),
-    ("gradient-check", _suite_gradients),
-    ("reduction", _suite_reduction),
-    ("oracle-equivalence", _suite_equivalence),
-    ("conservation", _suite_conservation),
-    ("spectral-bound", _suite_spectral_bound),
 )
 
 
@@ -295,83 +198,49 @@ def cmd_selftest(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="experiment config file (flat key = value)")
-    parser.add_argument(
-        "--set",
-        action="append",
-        metavar="K=V",
-        help="override a config key (repeatable), e.g. --set run.alpha=0.001",
-    )
-    parser.add_argument("--out", default="out", help="output directory")
-
-
-def _add_spectral_inputs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph-file", help="edge list `j i` per line")
-    parser.add_argument(
-        "--delay-file",
-        help=(
-            "delay list `j i tau` per line; tau_max is its `# tau_max=<t>` "
-            "first line, else its largest delay"
-        ),
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     epilog = "config keys:\n" + "\n".join(config_help_lines())
+    fmt = argparse.RawDescriptionHelpFormatter
     parser = argparse.ArgumentParser(
         prog="dtacopt",
         description="Delay-tolerant distributed optimization over digraphs",
         epilog=epilog,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        formatter_class=fmt,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fmt = argparse.RawDescriptionHelpFormatter
-    p_run = sub.add_parser("run", help="single run", epilog=epilog, formatter_class=fmt)
-    _add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser(
-        "sweep", help="tau_max x alpha sweep", epilog=epilog, formatter_class=fmt
-    )
-    _add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_cmp = sub.add_parser(
-        "compare",
-        help="delayed run vs delay-free baseline",
-        epilog=epilog,
-        formatter_class=fmt,
-    )
-    _add_common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_spec = sub.add_parser(
-        "spectral",
-        help="spectral report and step-size bound",
-        epilog=epilog,
-        formatter_class=fmt,
-    )
-    _add_common(p_spec)
-    _add_spectral_inputs(p_spec)
-    p_spec.add_argument(
+    for name, func, help_text in (
+        ("run", cmd_run, "single run"),
+        ("sweep", cmd_sweep, "tau_max x alpha sweep"),
+        ("compare", cmd_compare, "delayed run vs delay-free baseline"),
+        ("spectral", cmd_spectral, "spectral report and step-size bound"),
+        ("check-bound", cmd_check_bound,
+         "check the configured alpha against the certified interval"),
+    ):
+        p = sub.add_parser(name, help=help_text, epilog=epilog, formatter_class=fmt)
+        p.add_argument("--config", help="experiment config file (flat key = value)")
+        p.add_argument(
+            "--set",
+            action="append",
+            metavar="K=V",
+            help="override a config key (repeatable), e.g. --set run.alpha=0.001",
+        )
+        p.add_argument("--out", default="out", help="output directory")
+        if name in ("spectral", "check-bound"):
+            p.add_argument("--graph-file", help="edge list `j i` per line")
+            p.add_argument(
+                "--delay-file",
+                help=(
+                    "delay list `j i tau` per line; tau_max is its `# tau_max=<t>` "
+                    "first line, else its largest delay"
+                ),
+            )
+        p.set_defaults(func=func)
+    sub.choices["spectral"].add_argument(
         "--record", action="store_true", help="also print a single-line record"
     )
-    p_spec.set_defaults(func=cmd_spectral)
-
-    p_chk = sub.add_parser(
-        "check-bound",
-        help="check the configured alpha against the certified interval",
-        epilog=epilog,
-        formatter_class=fmt,
+    sub.add_parser("selftest", help="run the built-in invariant suites").set_defaults(
+        func=cmd_selftest
     )
-    _add_common(p_chk)
-    _add_spectral_inputs(p_chk)
-    p_chk.set_defaults(func=cmd_check_bound)
-
-    p_self = sub.add_parser("selftest", help="run the built-in invariant suites")
-    p_self.set_defaults(func=cmd_selftest)
     return parser
 
 
@@ -380,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EngineFault as exc:
+    except optimizer.EngineFault as exc:
         print(f"engine fault: {exc}", file=sys.stderr)
         return EXIT_ENGINE
     # ValueError covers ConfigError and numpy's LinAlgError; MemoryError an

@@ -136,8 +136,8 @@ def build_delay_slices(C: WeightMatrix | np.ndarray, d: DelayMap) -> DelaySlices
 
 
 def _domain_error(C: WeightMatrix, d: DelayMap) -> ValueError:
-    pattern = set(zip(C.src, C.dst))
-    mapped = set(d.tau)
+    pattern = set(zip(C.src.tolist(), C.dst.tolist()))
+    mapped = set(zip(d.src.tolist(), d.dst.tolist()))
     missing = sorted(pattern - mapped)[:5]
     spurious = sorted(mapped - pattern)[:5]
     return ValueError(

@@ -63,7 +63,8 @@ def _choice(*names: str) -> tuple:
 CONFIG_KEYS: dict[str, tuple] = {
     "experiment.tag": (
         str, "run", "prefix for output file names",
-        (lambda v: "/" not in v and os.sep not in v, "must not contain a path separator"),
+        (lambda v: "/" not in v and os.sep not in v and "\0" not in v,
+         "must not contain a path separator or a NUL byte"),
     ),
     "graph.type": _choice("erdos-renyi", "exponential"),
     "graph.n": (int, 10, "number of nodes", (lambda v: v >= 2, "need at least 2 nodes")),

@@ -35,7 +35,8 @@ in-flight:
     sum(g-hat) == sum_i grad_i(z_i)    (tracker mass = current gradient mass)
 
 Both are recorded per iteration; the tracker residual is normalized by the
-current gradient scale so it stays meaningful on diverging runs.
+current gradient scale so it stays meaningful on diverging runs.  The module
+`invariants` checks these laws, the lockstep and the zero-delay reduction.
 """
 
 from __future__ import annotations
@@ -224,14 +225,6 @@ class _EngineBase:
     @property
     def live_x(self) -> np.ndarray:
         return self.W[:, : self.p]
-
-    @property
-    def live_y(self) -> np.ndarray:
-        return self.W[:, self.p]
-
-    @property
-    def live_g(self) -> np.ndarray:
-        return self.W[:, self.p + 1 :]
 
     @property
     def live_z(self) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Spectral diagnostics for the delayed-mixing machinery.
 
-This module certifies the quantities the convergence argument runs on:
+This module certifies the quantities the convergence argument runs on (the
+relation rho(aug(A)) <= rho(A)^(1/(1+tau_max)) is checked by
+`invariants.spectral_bound_excess`):
 
-* the spectral-radius relation between a matrix and its delay augmentation,
-  rho(aug(A)) <= rho(A)^(1/(1+tau_max)) for substochastic A (equality at 1
-  for column-stochastic A);
 * the rank-one limit pi 1^T of the augmented matrix.  Its Perron vector pi
   comes from the shift register: the live block is the Perron vector of C
   (one n x n linear solve) and each in-flight block is a tail sum of the
@@ -141,22 +140,6 @@ def contraction_sigma(aug: AugmentedMatrix | np.ndarray) -> float:
     M = aug.entries if isinstance(aug, AugmentedMatrix) else np.asarray(aug, dtype=float)
     _check_column_stochastic(M)
     return _radius_and_sigma(M)[1]
-
-
-def verify_spectral_bound(C: np.ndarray, d: DelayMap) -> bool:
-    """Check the delayed-vs-undelayed spectral radius relation numerically.
-
-    Substochastic case (rho(C) < 1): rho(Cbar) <= rho(C)^(1/(1+tau_max)),
-    with tau_max = d.tau_max.  Stochastic case (rho(C) = 1): rho(Cbar) = 1.
-    Tolerance 1e-9 throughout.
-    """
-    C = np.asarray(C, dtype=float)
-    aug = build_augmented_matrix(C, d)
-    r = spectral_radius(C)
-    r_aug = spectral_radius(aug.entries)
-    if abs(r - 1.0) <= 1e-9:
-        return abs(r_aug - 1.0) <= 1e-9
-    return r_aug <= r ** (1.0 / (1.0 + d.tau_max)) + 1e-9
 
 
 @dataclass(frozen=True)

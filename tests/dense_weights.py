@@ -50,7 +50,7 @@ def delay_slices(M: np.ndarray, d) -> np.ndarray:
 
 
 def domain_error(M: np.ndarray, d) -> ValueError:
-    pattern = {(j, i) for i, j in zip(*np.nonzero(M)) if i != j}
+    pattern = {(j, i) for i, j in np.argwhere(M).tolist() if i != j}
     mapped = {e for e in d.tau if e[0] != e[1]}
     missing = sorted(pattern - mapped)[:5]
     spurious = sorted(mapped - pattern)[:5]

@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from dtacopt import costs, delays, graphs, spectral
+from dtacopt import costs, delays, graphs, invariants, spectral
 from dtacopt.experiment import compare_engines, execute_run, load_config
-from dtacopt.optimizer import AugmentedEngine, DtacEngine, init_states
+from dtacopt.optimizer import DtacEngine, StaticSetting, init_states
 from contraction import build_G_H
 from per_node_costs import per_node_models
 
@@ -84,7 +84,8 @@ def reduction_traces():
 
 @pytest.fixture(scope="module")
 def equivalence_runs():
-    """Per-node vs matrix-form engines on 10 random instances, 500 rounds."""
+    """Per-node vs matrix-form engines on 10 random instances, 500 rounds: the
+    catalogue's (live-state deviation, weight-mass, tracker-mass) residuals."""
     rng = np.random.default_rng(0)
     runs = []
     t0 = time.perf_counter()
@@ -92,33 +93,9 @@ def equivalence_runs():
         n = int(rng.integers(2, 9))
         tau = int(rng.integers(0, 4))
         g = graphs.generate_erdos_renyi(n, 0.6, seed=100 + trial)
-        C = graphs.build_column_stochastic_weights(g)
-        d = delays.assign_delays(g, tau, "uniform-random", seed=200 + trial)
+        setting = StaticSetting.draw(g, tau, "uniform-random", 200 + trial)
         prob = costs.make_quadratic(n, 3, 300 + trial)
-        e1 = DtacEngine(prob, init_states(prob, 7), C, d, 0.003)
-        e2 = AugmentedEngine(prob, init_states(prob, 7), C, d, 0.003)
-        worst = 0.0
-        cons = {"mass": 0.0, "tracker": 0.0}
-        for _ in range(500):
-            e1.step()
-            e2.step()
-            worst = max(
-                worst,
-                float(np.max(np.abs(e1.live_x - e2.live_x))),
-                float(np.max(np.abs(e1.live_y - e2.live_y))),
-                float(np.max(np.abs(e1.live_g - e2.live_g))),
-            )
-            for eng in (e1, e2):
-                grad_now = eng.grad_prev.sum(axis=0)
-                cons["mass"] = max(cons["mass"], abs(eng.mass - n))
-                cons["tracker"] = max(
-                    cons["tracker"],
-                    float(
-                        np.linalg.norm(eng.tracker_mass - grad_now)
-                        / (1.0 + np.linalg.norm(grad_now))
-                    ),
-                )
-        runs.append((n, tau, worst, cons))
+        runs.append(invariants.lockstep_residuals(prob, setting, 500, 0.003, 7))
     return runs, time.perf_counter() - t0
 
 
@@ -191,7 +168,7 @@ def test_criterion_04_zero_delay_reduction(reduction_traces):
 
 def test_criterion_05_oracle_equivalence(equivalence_runs):
     runs, elapsed = equivalence_runs
-    worst = max(w for _, _, w, _ in runs)
+    worst = float(np.max([deviation for deviation, _, _ in runs]))
     ok = worst <= 1e-10 and elapsed < 30.0
     report(
         5,
@@ -222,9 +199,9 @@ def test_criterion_06_conservation_laws(
     for delayed, baseline in reduction_traces:
         absorb(delayed.records)
         absorb(baseline.records)
-    for _, _, _, cons in equivalence_runs[0]:
-        mass_worst = max(mass_worst, cons["mass"])
-        tracker_worst = max(tracker_worst, cons["tracker"])
+    for _, mass, tracker in equivalence_runs[0]:  # np.max keeps a NaN
+        mass_worst = float(np.max([mass_worst, mass]))
+        tracker_worst = float(np.max([tracker_worst, tracker]))
     ok = mass_worst < 1e-10 and tracker_worst < 1e-9
     report(
         6,
@@ -253,7 +230,7 @@ def test_criterion_07_spectral_radius_bound():
         d = delays.DelayMap.from_dict(
             {e: int(rng.integers(0, tau + 1)) for e in sorted(edges)}, tau
         )
-        ok = ok and spectral.verify_spectral_bound(M, d)
+        ok = ok and invariants.spectral_bound_excess(M, d) <= 0.0
         checked += 1
     stochastic_ok = True
     for trial in range(50):
@@ -265,10 +242,12 @@ def test_criterion_07_spectral_radius_bound():
         d = delays.DelayMap.from_dict(
             {e: int(rng.integers(0, tau + 1)) for e in sorted(edges)}, tau
         )
-        aug = delays.build_augmented_matrix(M, d)
-        stochastic_ok = stochastic_ok and abs(
-            spectral.spectral_radius(aug.entries) - 1.0
-        ) <= 1e-9
+        # rho(M) = 1, so the bound is rho(aug(M)) = 1 within 1e-9
+        stochastic_ok = (
+            stochastic_ok
+            and abs(spectral.spectral_radius(M) - 1.0) <= 1e-9
+            and invariants.spectral_bound_excess(M, d) <= 0.0
+        )
     elapsed = time.perf_counter() - t0
     ok = ok and stochastic_ok and elapsed < 60.0
     report(

@@ -157,6 +157,7 @@ def test_sweep_subcommand_writes_summary(tmp_path, capsys):
         (["cost.type=svm", "cost.margin=inf"], "cost.margin"),
         (["cost.type=svm", "cost.smoothness=inf"], "cost.smoothness"),
         (["experiment.tag=a/b"], "experiment.tag"),
+        (["experiment.tag=a\0b"], "experiment.tag"),
     ],
 )
 def test_bad_sweep_entry_exits_one_before_writing(sets, key, tmp_path, capsys):
@@ -314,6 +315,15 @@ def test_delay_file_link_outside_the_graph_is_a_config_error(tmp_path, capsys):
     assert err == (
         "config error: delay map domain does not match the matrix pattern "
         "(unmapped links [], mapped non-links [(2, 7)])\n"
+    )
+    delay_file.write_text("0 1 1\n1 2 0\n")  # no delay for the link 2 -> 0
+    code = main(["spectral", "--graph-file", str(graph_file), "--delay-file", str(delay_file),
+                 "--set", "graph.n=3", "--set", "cost.dim=2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (
+        "config error: delay map domain does not match the matrix pattern "
+        "(unmapped links [(2, 0)], mapped non-links [])\n"
     )
 
 

@@ -8,9 +8,9 @@ temporary directory that is also its `--out`; an entry of several steps
 runs them in order in the same directory, so a later one can read what an
 earlier one wrote.  A step is a command's arguments, or a `{name: text}`
 dict of input files to write there.  For every command it prints the exit
-code, stdout and stderr with the temporary directory replaced by `<out>`,
-and then, for the entry, `sha256 path` for every file in the directory, in
-sorted order.
+code, stdout and stderr with the temporary directory replaced by `<out>`
+and `selftest`'s per-suite timings by `[<t>s]`, and then, for the entry,
+`sha256 path` for every file in the directory, in sorted order.
 
 Two checkouts that print the same listing wrote the same bytes, the same
 `STATUS` lines and the same exit codes.  CI diffs the listing of a pull
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -47,8 +48,8 @@ LOOPED_DELAYS = ("# tau_max=3\n0 0 0\n0 1 2\n1 2 1\n1 4 3\n2 2 0\n2 3 0\n3 1 2\n
 # `spectral` and `check-bound` then certify, two sweeps on different graphs
 # under two tags, `spectral` on one's graph with the other's delays (exit 1),
 # `check-bound` on both sides of its verdict, hand-written graph and delay
-# files that list self-loops (`j j`, `j j 0`; then `j j 1`, exit 1), and a
-# graph that cannot be sampled strongly connected (exit 1)
+# files that list self-loops (`j j`, `j j 0`; then `j j 1`, exit 1), a
+# graph that cannot be sampled strongly connected (exit 1), and the selftest
 COMMANDS = (
     ("run", ("run",)),
     ("run-oracle", ("run", "--set", "run.engine=augmented-oracle")),
@@ -105,9 +106,11 @@ COMMANDS = (
      ("check-bound", "--graph-file", "g.txt", "--delay-file", "d.txt"),
      ("spectral", "--graph-file", "g.txt", "--delay-file", "delayed.txt")),
     ("config-error", ("run", "--set", "graph.n=30", "--set", "graph.p=0.01")),
+    ("selftest", ("selftest",)),
 )
 
-NO_OUT = ("spectral", "check-bound")  # subcommands without --out
+NO_OUT = ("spectral", "check-bound", "selftest")  # subcommands without --out
+TIMING = re.compile(r"\[\d+\.\d+s\]$")  # a selftest suite's `[0.02s]`
 
 
 def digest_lines(root: Path) -> list[str]:
@@ -127,7 +130,8 @@ def digest_lines(root: Path) -> list[str]:
                 proc = subprocess.run(cmd, cwd=out, env=env, capture_output=True, text=True)
                 lines.append(f"== {name}: exit {proc.returncode}")
                 for stream, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
-                    lines += [f"{stream}: {ln}" for ln in text.replace(str(out), "<out>").splitlines()]
+                    lines += [f"{stream}: {TIMING.sub('[<t>s]', ln)}"
+                              for ln in text.replace(str(out), "<out>").splitlines()]
             for path in sorted(p for p in out.rglob("*") if p.is_file()):
                 sha = hashlib.sha256(path.read_bytes()).hexdigest()
                 lines.append(f"{sha} {path.relative_to(out)}")
