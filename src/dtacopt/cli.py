@@ -1,12 +1,13 @@
 """Command-line harness: run, sweep, spectral, check-bound, selftest.
 
 Exit codes: 0 ok, 1 config error (a bad key or value, an unreadable input
-file, a graph that cannot be sampled strongly connected, or costs whose
-centralized oracle misses its tolerance), 2 engine fault, 3 no certified step
-size (sigma >= 1, or a bound that is not a finite positive number), 4
-selftest failure.  `main` maps errors to exit codes for every subcommand;
-`selftest` reports a suite that raises as failed.  Human-readable status goes
-to stdout, machine-readable data to files under --out, errors to stderr.
+file, an input too large for memory (`MemoryError`), a graph that cannot be
+sampled strongly connected, or costs whose centralized oracle misses its
+tolerance), 2 engine fault, 3 no certified step size (sigma >= 1, or a bound
+that is not a finite positive number), 4 selftest failure.  `main` maps
+errors to exit codes for every subcommand; `selftest` reports a suite that
+raises as failed.  Human-readable status goes to stdout, machine-readable
+data to files under --out, errors to stderr.
 """
 
 from __future__ import annotations

@@ -47,7 +47,6 @@ def _at_least(low) -> tuple:
     return (lambda v: v >= low, f"must be >= {low}")
 
 
-_POSITIVE = (lambda v: v > 0, "must be positive")
 _FINITE_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
 _FINITE_AT_LEAST_0 = (lambda v: 0 <= v < math.inf, "must be >= 0 and finite")
 
@@ -59,7 +58,8 @@ def _choice(*names: str) -> tuple:
 
 # key -> (parser, default, help, rule).  A rule is (test, phrase): every value
 # must pass the test, and comparisons are written so that NaN fails them; a
-# sweep list applies it to each entry.  Only the bool keys have none.
+# sweep list applies it to each entry, and no entry may repeat.  Only the bool
+# keys have none.
 CONFIG_KEYS: dict[str, tuple] = {
     "experiment.tag": (
         str, "run", "prefix for output file names",
@@ -88,9 +88,9 @@ CONFIG_KEYS: dict[str, tuple] = {
     "cost.separation": (
         float, 2.0, "cluster separation (logistic/svm)", (math.isfinite, "must be finite")
     ),
-    "run.alpha": (float, 0.005, "gradient-tracking step size", _POSITIVE),
+    "run.alpha": (float, 0.005, "gradient-tracking step size", _FINITE_POSITIVE),
     "run.max_iters": (int, 20000, "iteration cap", _at_least(1)),
-    "run.tol": (float, 1e-10, "optimality-gap threshold for CONVERGED", _at_least(0)),
+    "run.tol": (float, 1e-10, "optimality-gap threshold for CONVERGED", _FINITE_AT_LEAST_0),
     "run.record_every": (int, 1, "metric recording cadence", _at_least(1)),
     "run.engine": _choice(*optimizer.ENGINES),
     "run.init_seed": (int, 3, "initial-state seed", _at_least(0)),
@@ -101,7 +101,7 @@ CONFIG_KEYS: dict[str, tuple] = {
         partial(_parse_list, int), (), "comma list of delay bounds to sweep", _at_least(0)
     ),
     "sweep.alpha": (
-        partial(_parse_list, float), (), "comma list of step sizes to sweep", _POSITIVE
+        partial(_parse_list, float), (), "comma list of step sizes to sweep", _FINITE_POSITIVE
     ),
     "sweep.budget": (int, 64, "maximum number of sweep runs", _at_least(1)),
 }
@@ -158,6 +158,8 @@ def validate_config(values: dict) -> ExperimentConfig:
             if isinstance(v, tuple):  # a sweep list: the rule holds for each entry
                 if not all(map(test, v)):
                     raise ConfigError(f"key {key!r}: every entry {phrase}")
+                if len(set(v)) < len(v):  # equal points would share one trace file
+                    raise ConfigError(f"key {key!r}: an entry repeats")
             elif not test(v):
                 raise ConfigError(f"key {key!r}: {phrase}")
         full[key] = v

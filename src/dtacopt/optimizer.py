@@ -222,14 +222,6 @@ class _EngineBase:
         self.grad_prev = grads
         return mixed
 
-    @property
-    def live_x(self) -> np.ndarray:
-        return self.W[:, : self.p]
-
-    @property
-    def live_z(self) -> np.ndarray:
-        return self.Z
-
 
 class DtacEngine(_EngineBase):
     """Per-node delayed gradient tracking (the deployable protocol)."""
@@ -286,8 +278,7 @@ class AugmentedEngine(_EngineBase):
         """Install the augmented matrix of (C, delays) for subsequent rounds."""
         if delays.tau_max != self.tau_max:
             raise ValueError("cannot change tau_max mid-run")
-        self.aug = build_augmented_matrix(C, delays)
-        self._mix = _mixer(self.aug.entries, self.W_hat.shape[1])
+        self._mix = _mixer(build_augmented_matrix(C, delays).entries, self.W_hat.shape[1])
 
     @property
     def W(self) -> np.ndarray:  # live view used by the shared update
@@ -304,14 +295,6 @@ class AugmentedEngine(_EngineBase):
         p = self.p
         self.mass = float(np.add.reduce(self.W_hat[:, p], None))
         self.tracker_mass = np.add.reduce(self.W_hat[:, p + 1 :], 0)
-
-    @property
-    def x_hat(self) -> np.ndarray:
-        return self.W_hat[:, : self.p]
-
-    @property
-    def g_hat(self) -> np.ndarray:
-        return self.W_hat[:, self.p + 1 :]
 
 
 class AddOptEngine(_EngineBase):
@@ -445,7 +428,7 @@ class RunResult:
 def _metrics(engine, problem: GlobalProblem) -> TraceRecord:
     # the reductions numpy's mean, sum and linalg.norm make (so the same bits),
     # without their wrappers' overhead
-    Z, n = engine.live_z, engine.n
+    Z, n = engine.Z, engine.n
     z_bar = np.add.reduce(Z, 0) / n
     d = Z - problem.z_star
     mse = float(np.add.reduce(np.add.reduce(d * d, 1), None) / n)

@@ -55,8 +55,7 @@ def spectral_radius(M: np.ndarray) -> float:
 
 
 def _minus_identity(M: np.ndarray) -> np.ndarray:
-    """M - I without allocating I (the spectral report runs at N in the
-    hundreds, where every N x N temporary shows in its peak memory)."""
+    """M - I without allocating I; both callers pass the n x n C."""
     K = M.copy()
     K[np.diag_indices(K.shape[0])] -= 1.0
     return K
@@ -144,15 +143,16 @@ def contraction_sigma(aug: AugmentedMatrix | np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class MixingConstants:
-    """Trajectory constants of the weight recursion y <- Cbar y.
+    """Trajectory constants of the weight recursion y <- Cbar y, under the
+    certificate's names.
 
-    y_sup / y_inv_sup bound the diagonal weight matrix and its inverse in
-    2-norm (the inverse is only ever taken on the live block, whose entries
-    stay positive).  gamma1/envelope_T fit ||Y_k - Y_inf||_2 <= T gamma1^k.
+    y / y_minus bound the diagonal weight matrix and its inverse in 2-norm
+    (the inverse is only ever taken on the live block, whose entries stay
+    positive).  gamma1/envelope_T fit ||Y_k - Y_inf||_2 <= T gamma1^k.
     """
 
-    y_sup: float
-    y_inv_sup: float
+    y: float
+    y_minus: float
     gamma1: float
     envelope_T: float
 
@@ -168,17 +168,17 @@ def measure_mixing_constants(aug: AugmentedMatrix) -> MixingConstants:
     n = aug.n
     column = aug.entries[:, :n]  # C_0; ...; C_T stacked
     y_inf = float(n) * perron_vector(aug)
-    y_sup = 0.0
-    y_inv_sup = 0.0
+    y = 0.0
+    y_minus = 0.0
     gaps: list[float] = []
     v = np.zeros(aug.dim)
     v[:n] = 1.0
     for _ in range(PILOT_HORIZON + 1):
-        y_sup = max(y_sup, float(np.max(np.abs(v))))
+        y = max(y, float(np.max(np.abs(v))))
         live_min = float(np.min(v[:n]))
         if live_min <= 0:
             raise RuntimeError("live weight hit zero during the pilot run")
-        y_inv_sup = max(y_inv_sup, 1.0 / live_min)
+        y_minus = max(y_minus, 1.0 / live_min)
         gaps.append(float(np.max(np.abs(v - y_inf))))
         w = column @ v[:n]
         w[:-n] += v[n:]
@@ -195,9 +195,7 @@ def measure_mixing_constants(aug: AugmentedMatrix) -> MixingConstants:
         # already at the limit: no decay to fit
         gamma1 = 0.0
         envelope_T = gaps[0] if gaps else 0.0
-    return MixingConstants(
-        y_sup=y_sup, y_inv_sup=y_inv_sup, gamma1=gamma1, envelope_T=envelope_T
-    )
+    return MixingConstants(y, y_minus, gamma1, envelope_T)
 
 
 @dataclass(frozen=True)
@@ -228,7 +226,6 @@ def certify(aug: AugmentedMatrix) -> Certificate:
     C = aug.entries[:, :n].reshape(-1, n, n).sum(axis=0)
     epsilon = _projector_norm(perron_vector(C))  # checks C's column sums first
     rho_Cbar, sigma = _radius_and_sigma(aug.entries)
-    mix = measure_mixing_constants(aug)
     return Certificate(
         n=n,
         tau_max=aug.dim // n - 1,
@@ -236,10 +233,7 @@ def certify(aug: AugmentedMatrix) -> Certificate:
         sigma=sigma,
         kappa=float(np.linalg.norm(_minus_identity(C), 2)),
         epsilon=epsilon,
-        y=mix.y_sup,
-        y_minus=mix.y_inv_sup,
-        gamma1=mix.gamma1,
-        envelope_T=mix.envelope_T,
+        **asdict(measure_mixing_constants(aug)),
     )
 
 

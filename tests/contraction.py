@@ -98,8 +98,8 @@ def tracking_triple(
 
     where x_bar is the global mass average (valid because weight mass is n).
     """
-    x_hat, g_hat = engine.x_hat, engine.g_hat
-    n = engine.n
+    n, p = engine.n, engine.p
+    x_hat, g_hat = engine.W_hat[:, :p], engine.W_hat[:, p + 1 :]
     reps = engine.tau_max + 1
     t1 = float(np.linalg.norm(x_hat - limit @ x_hat))
     x_bar = x_hat.sum(axis=0) / n

@@ -112,7 +112,7 @@ REFERENCE_ENGINES = {
 
 
 def reference_metrics(engine, problem: GlobalProblem) -> TraceRecord:
-    Z = engine.live_z
+    Z = engine.Z
     z_bar = Z.mean(axis=0)
     gap = problem.gap(z_bar)
     diffs = Z - problem.z_star

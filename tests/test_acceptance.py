@@ -332,7 +332,7 @@ def _certified_distributed_error(problem, n, tau, gseed, dseed):
     for k in range(60000):
         engine.step()
         if k % 100 == 0:
-            err = float(np.linalg.norm(engine.live_z.mean(axis=0) - problem.z_star))
+            err = float(np.linalg.norm(engine.Z.mean(axis=0) - problem.z_star))
             if err < 1e-6:
                 break
     return err

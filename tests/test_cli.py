@@ -158,6 +158,10 @@ def test_sweep_subcommand_writes_summary(tmp_path, capsys):
         (["cost.type=svm", "cost.smoothness=inf"], "cost.smoothness"),
         (["experiment.tag=a/b"], "experiment.tag"),
         (["experiment.tag=a\0b"], "experiment.tag"),
+        (["sweep.alpha=0.001,inf"], "sweep.alpha"),
+        # two equal points would write one trace file, also when equal only as numbers
+        (["sweep.tau_max=2,2", "sweep.alpha=0.001,0.001"], "sweep.tau_max"),
+        (["sweep.alpha=0.001,1e-3"], "sweep.alpha"),
     ],
 )
 def test_bad_sweep_entry_exits_one_before_writing(sets, key, tmp_path, capsys):
@@ -167,6 +171,23 @@ def test_bad_sweep_entry_exits_one_before_writing(sets, key, tmp_path, capsys):
     assert code == 1
     assert err.startswith("config error: ")
     assert key is None or f"key '{key}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (["run", "--set", "run.alpha=inf"], "run.alpha"),
+        (["run", "--set", "run.tol=inf"], "run.tol"),
+        (["check-bound", "--set", "run.alpha=inf"], "run.alpha"),
+    ],
+)
+def test_infinite_step_size_or_tolerance_exits_one(argv, key, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(argv + (["--out", str(out)] if argv[0] == "run" else []))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: key '{key}': ")
     assert not out.exists()
 
 
@@ -373,6 +394,24 @@ def test_an_input_larger_than_memory_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: Unable to allocate")
 
 
+@pytest.mark.parametrize(
+    "module,allowed",
+    [
+        ("dtacopt.graphs", {"dtacopt", "dtacopt.graphs"}),
+        ("dtacopt.costs", {"dtacopt", "dtacopt.costs"}),
+        ("dtacopt.optimizer", {"dtacopt", "dtacopt.costs", "dtacopt.graphs", "dtacopt.delays",
+                               "dtacopt.optimizer"}),
+    ],
+)
+def test_importing_a_layer_loads_only_it_and_what_it_imports(module, allowed):
+    # the package re-exports nothing, so no layer drags in another it does not use
+    script = f"import sys, {module}\nprint([m for m in sys.modules if m.startswith('dtacopt')])\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert set(ast.literal_eval(proc.stdout)) == allowed
+
+
 def test_package_loads_no_module_beyond_numpy_and_the_standard_library():
     # modules the interpreter loaded before the import (site hooks) do not
     # count; numpy's compiled extensions register Cython's runtime modules
@@ -398,7 +437,7 @@ def test_bound_that_overflows_exits_three(command, monkeypatch, capsys):
     from dtacopt import spectral
 
     def huge_inverse_weight(aug):
-        return spectral.MixingConstants(y_sup=1.0, y_inv_sup=1e160, gamma1=0.5, envelope_T=1.0)
+        return spectral.MixingConstants(y=1.0, y_minus=1e160, gamma1=0.5, envelope_T=1.0)
 
     monkeypatch.setattr(spectral, "measure_mixing_constants", huge_inverse_weight)
     code = main(

@@ -68,6 +68,18 @@ def test_config_validation_errors_name_the_key():
         validate_config({"run.alpha": "nan"})
     with pytest.raises(ConfigError, match="sweep.alpha"):
         validate_config({"sweep.alpha": "0.1,nan"})
+    # step sizes and the tolerance must be finite
+    with pytest.raises(ConfigError, match="run.alpha"):
+        validate_config({"run.alpha": "inf"})
+    with pytest.raises(ConfigError, match="sweep.alpha"):
+        validate_config({"sweep.alpha": "0.1,inf"})
+    with pytest.raises(ConfigError, match="run.tol"):
+        validate_config({"run.tol": "inf"})
+    # a repeated sweep entry, also one equal only as a number
+    with pytest.raises(ConfigError, match="sweep.tau_max.*repeats"):
+        validate_config({"sweep.tau_max": "2,2"})
+    with pytest.raises(ConfigError, match="sweep.alpha.*repeats"):
+        validate_config({"sweep.alpha": "0.001,1e-3"})
     with pytest.raises(ConfigError, match="graph.p"):
         validate_config({"graph.p": "1.5"})
     with pytest.raises(ConfigError, match="run.engine"):
@@ -78,7 +90,8 @@ def test_config_validation_errors_name_the_key():
         validate_config({"run.record_every": "0"})
     with pytest.raises(ConfigError, match="budget"):
         validate_config(
-            {"sweep.tau_max": "1,2,3,4,5,6,7,8,9", "sweep.alpha": "0.1," * 7 + "0.2", "sweep.budget": "8"}
+            {"sweep.tau_max": "1,2,3,4,5,6,7,8,9", "sweep.alpha": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8",
+             "sweep.budget": "8"}
         )
 
 

@@ -87,7 +87,7 @@ def test_single_node_reduces_to_gradient_descent():
     for _ in range(200):
         x = x - 0.05 * model.grad(x)
         engine.step()
-        assert np.allclose(engine.live_x[0], x, atol=1e-12)
+        assert np.allclose(engine.W[0, :3], x, atol=1e-12)
     assert np.linalg.norm(x - prob.z_star) < 1e-3
 
 
@@ -215,7 +215,8 @@ def test_step_state_shares_no_memory(name, n):
     prob = costs.make_quadratic(n, 5, 42)
     engine = ENGINES[name](prob, init_states(prob, 3), C, d, 1e-4)
     if name == "augmented-oracle":
-        assert multiplied_through_nonzeros(engine.aug.entries) == (n == 200)
+        aug = delays.build_augmented_matrix(C, d).entries
+        assert multiplied_through_nonzeros(aug) == (n == 200)
     if name == "per-node":
         stacked = delays.build_delay_slices(C, d).slices.reshape(-1, n)
         assert multiplied_through_nonzeros(stacked) == (n == 200)
@@ -399,7 +400,7 @@ def test_switching_lockstep_across_engines():
             e2.set_topology(current.weights, current.delays)
         e1.step()
         e2.step()
-        assert np.max(np.abs(e1.live_x - e2.live_x)) < 1e-12
+        assert np.max(np.abs(e1.W[:, :3] - e2.W[:, :3])) < 1e-12
         assert abs(e1.mass - e2.mass) < 1e-12
 
 
@@ -439,7 +440,9 @@ def test_contraction_monitor_on_converged_certified_runs():
         engine = AugmentedEngine(
             prob, init_states(prob, 3), setting.weights, setting.delays, alpha
         )
-        limit = spectral.limit_matrix(engine.aug)
+        limit = spectral.limit_matrix(
+            delays.build_augmented_matrix(setting.weights, setting.delays)
+        )
         monitor = ContractionMonitor(
             lambda k: build_G_H(alpha, k, cert, prob.l, prob.s), limit, prob.z_star
         )
@@ -447,9 +450,9 @@ def test_contraction_monitor_on_converged_certified_runs():
         for _ in range(20000):
             engine.step()
             monitor.observe(engine)
-            if prob.gap(engine.live_z.mean(axis=0)) < 1e-8:
+            if prob.gap(engine.Z.mean(axis=0)) < 1e-8:
                 break
-        gap = prob.gap(engine.live_z.mean(axis=0))
+        gap = prob.gap(engine.Z.mean(axis=0))
         assert gap < 1e-6  # converged run
         assert np.all(monitor.worst_ratios <= 1.05)
 
@@ -458,7 +461,7 @@ def test_tracking_triple_decays_to_zero():
     setting = make_setting(5, 2, 50, 60)
     prob = costs.make_quadratic(5, 3, 70)
     engine = AugmentedEngine(prob, init_states(prob, 3), setting.weights, setting.delays, 0.002)
-    limit = spectral.limit_matrix(engine.aug)
+    limit = spectral.limit_matrix(delays.build_augmented_matrix(setting.weights, setting.delays))
     t0, s0 = tracking_triple(engine, limit, prob.z_star)
     for _ in range(6000):
         engine.step()

@@ -1,6 +1,7 @@
 import io
 from contextlib import redirect_stdout
 from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from dtacopt.optimizer import StaticSetting
 from dtacopt.spectral import (
     PILOT_HORIZON,
     Certificate,
-    MixingConstants,
     build_spectral_report,
     certify,
     contraction_sigma,
@@ -130,7 +130,16 @@ def test_perron_vector_matches_power_and_shift_register_oracles(n, tau_max, mode
     assert np.max(np.abs(pi - _shift_register_perron(C, d))) < 1e-12
 
 
-def _dense_pilot(aug) -> tuple[MixingConstants, np.ndarray]:
+class DensePilot(NamedTuple):
+    """The dense oracle's pilot constants, in a record of its own."""
+
+    y_sup: float
+    y_inv_sup: float
+    gamma1: float
+    envelope_T: float
+
+
+def _dense_pilot(aug) -> tuple[DensePilot, np.ndarray]:
     """Test oracle: the pilot run of `measure_mixing_constants` with dense
     N x N products and the dense Perron vector, fitted the same way; also
     returns the gaps to the limit it fitted."""
@@ -153,10 +162,7 @@ def _dense_pilot(aug) -> tuple[MixingConstants, np.ndarray]:
         slope, intercept = np.polyfit(xs, ys, 1)
         gamma1 = np.exp(slope)
         envelope_T = np.exp(intercept + max(0.0, np.max(ys - (slope * xs + intercept))))
-    constants = MixingConstants(
-        y_sup=max(sups), y_inv_sup=max(inv_sups), gamma1=gamma1, envelope_T=envelope_T
-    )
-    return constants, gaps
+    return DensePilot(max(sups), max(inv_sups), gamma1, envelope_T), gaps
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -283,8 +289,8 @@ def test_mixing_constants_pilot_run():
     d = assign_delays(g, 3, "uniform-random", seed=3)
     aug = build_augmented_matrix(C, d)
     mix = measure_mixing_constants(aug)
-    assert mix.y_sup >= 1.0
-    assert mix.y_inv_sup >= 1.0
+    assert mix.y >= 1.0
+    assert mix.y_minus >= 1.0
     assert 0.0 < mix.gamma1 < 1.0
     assert mix.envelope_T > 0.0
     # the fitted envelope really bounds the decay it was fitted on

@@ -13,13 +13,17 @@ and `selftest`'s per-suite timings by `[<t>s]`, and then, for the entry,
 `sha256 path` for every file in the directory, in sorted order.
 
 Two checkouts that print the same listing wrote the same bytes, the same
-`STATUS` lines and the same exit codes.  CI diffs the listing of a pull
-request's base commit against its head's:
+`STATUS` lines and the same exit codes.  The commands inherit this script's
+environment (only PYTHONPATH is set), so a BLAS thread count such as
+OPENBLAS_NUM_THREADS reaches them.  CI diffs the listing of a pull
+request's base commit against its head's under one and two BLAS threads:
 
     git worktree add ../base BASE_SHA
-    python tools/output_digests.py ../base > base.txt
-    python tools/output_digests.py . > head.txt
-    diff -u base.txt head.txt
+    for t in 1 2; do
+        OPENBLAS_NUM_THREADS=$t python tools/output_digests.py ../base > base_$t.txt
+        OPENBLAS_NUM_THREADS=$t python tools/output_digests.py . > head_$t.txt
+        diff -u base_$t.txt head_$t.txt
+    done
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ LOOPED_DELAYS = ("# tau_max=3\n0 0 0\n0 1 2\n1 2 1\n1 4 3\n2 2 0\n2 3 0\n3 1 2\n
 # a switching compare and sweep, a sweep whose graph and delay files
 # `spectral` and `check-bound` then certify, two sweeps on different graphs
 # under two tags, `spectral` on one's graph with the other's delays (exit 1),
-# `check-bound` on both sides of its verdict, hand-written graph and delay
+# `spectral` and `check-bound` at N=420, whose last bits follow the BLAS
+# thread count, `check-bound` on both sides of its verdict, hand-written graph and delay
 # files that list self-loops (`j j`, `j j 0`; then `j j 1`, exit 1), a
 # graph that cannot be sampled strongly connected (exit 1), and the selftest
 COMMANDS = (
@@ -98,6 +103,9 @@ COMMANDS = (
       "--set", "run.max_iters=1"),
      ("spectral", "--graph-file", "a_graph.txt", "--delay-file", "b_tau3_delays.txt")),
     ("spectral", ("spectral", "--set", "delay.tau_max=5", "--record")),
+    ("spectral-threaded", ("spectral", "--set", "graph.n=20", "--set", "delay.tau_max=20",
+                           "--record"),
+     ("check-bound", "--set", "graph.n=20", "--set", "delay.tau_max=20")),
     ("check-bound", ("check-bound", "--set", "run.alpha=0.001")),
     ("check-bound-certified", ("check-bound", "--set", "run.alpha=1e-5")),
     ("self-loop-files", {"g.txt": LOOPED_GRAPH, "d.txt": LOOPED_DELAYS,
