@@ -5,15 +5,15 @@ file, an input too large for memory (`MemoryError`), a graph that cannot be
 sampled strongly connected, or costs whose centralized oracle misses its
 tolerance), 2 engine fault, 3 no certified step size (sigma >= 1, or a bound
 that is not a finite positive number), 4 selftest failure.  `main` maps
-errors to exit codes for every subcommand; `selftest` reports a suite that
-raises as failed.  Human-readable status goes to stdout, machine-readable
-data to files under --out, errors to stderr.
+errors to exit codes for every subcommand; `selftest` runs the suites of
+`invariants.SUITES`, the one command that loads that module, and reports a
+suite that raises as failed.  Human-readable status goes to stdout,
+machine-readable data to files under --out, errors to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 import time
 from pathlib import Path
@@ -61,11 +61,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    summaries = run_experiment(_load(args), args.out)
-    for s in summaries:
+    for r in run_experiment(_load(args), args.out):
         print(
-            f"tau_max={s.tau_max} alpha={s.alpha!r} {s.status} "
-            f"iters={s.iters} final_gap={s.final_gap!r}"
+            f"tau_max={r.tau_max} alpha={r.alpha!r} {r.status} "
+            f"iters={r.iters} final_gap={r.final_gap!r}"
         )
     return EXIT_OK
 
@@ -89,7 +88,7 @@ def _inputs(args):
         )
     if args.graph_file:
         g = graphs.load_edge_list(args.graph_file)
-        if not graphs.is_strongly_connected(g):
+        if not g.strongly_connected:
             raise ConfigError("graph file is not strongly connected")
     else:
         g = build_graph(cfg)
@@ -149,29 +148,12 @@ def cmd_check_bound(args) -> int:
     return EXIT_OK
 
 
-def _catalogue(suite: str):
-    """`invariants.<suite>`, which loads the catalogue when it first runs: no
-    other command loads it."""
-    return lambda: getattr(importlib.import_module(".invariants", __package__), suite)()
-
-
-SELFTEST_SUITES = tuple(
-    (name, _catalogue(suite))
-    for name, suite in (
-        ("column-stochasticity", "weights_suite"),
-        ("gradient-check", "gradients_suite"),
-        ("reduction", "reduction_suite"),
-        ("oracle-equivalence", "equivalence_suite"),
-        ("conservation", "conservation_suite"),
-        ("spectral-bound", "spectral_bound_suite"),
-    )
-)
-
-
 def run_selftest() -> tuple[bool, list[str]]:
+    from . import invariants  # here, so that no other command loads the catalogue
+
     lines = []
     all_ok = True
-    for name, suite in SELFTEST_SUITES:
+    for name, suite in invariants.SUITES.items():
         t0 = time.perf_counter()
         try:
             suite()

@@ -331,7 +331,9 @@ def make_logistic(
     """Distributed binary logistic regression on synthetic two-cluster data.
 
     State is (w; b), p+1 dimensional.  lam > 0 regularizes w only; the data
-    always mixes labels, which keeps the bias direction coercive.
+    always mixes labels, which keeps the bias direction coercive.  The
+    problem's s is lam, though b has no ridge: an f_i need not be s-strongly
+    convex (README, "The `s` the certificate reads").
     """
     if not 0 < lam < np.inf:
         raise ValueError("lam must be positive and finite")
@@ -359,7 +361,9 @@ def make_smooth_svm(
 
     State is (omega; nu), p+1 dimensional, with the ridge acting on omega.
     margin_weight = 0 degenerates to the pure ridge; by convention the free
-    offset is pinned at 0 there and the optimum is exactly the origin.
+    offset is pinned at 0 there and the optimum is exactly the origin.  The
+    problem's s is 2, the ridge's on omega alone: nu has none, so an f_i
+    need not be s-strongly convex (README, "The `s` the certificate reads").
     """
     if not (0 <= margin_weight < np.inf and 0 < smoothness < np.inf):
         raise ValueError("need finite margin_weight >= 0 and smoothness > 0")

@@ -3,7 +3,8 @@
 Configs are flat-key text, `section.key = value` per line, with `#`
 comments.  Unknown keys are rejected; every seed is explicit so any config
 reproduces its CSVs byte for byte.  A sweep crosses `sweep.tau_max` with
-`sweep.alpha` and writes one trace per point plus a summary table.
+`sweep.alpha` and writes one trace per point plus a summary table, one row
+per point's `RunResult`.
 """
 
 from __future__ import annotations
@@ -220,17 +221,16 @@ def build_problem(cfg: ExperimentConfig) -> costs.GlobalProblem:
             mean_scaled=cfg.get("cost.mean_scaled"),
             separation=cfg.get("cost.separation"),
         )
-    if kind == "svm":
-        return costs.make_smooth_svm(
-            n,
-            p,
-            cfg.get("cost.samples_per_agent"),
-            cfg.get("cost.margin"),
-            cfg.get("cost.smoothness"),
-            seed,
-            separation=cfg.get("cost.separation"),
-        )
-    raise ConfigError(f"unknown cost type {kind!r}")
+    # svm: the cost.type rule admits no other value
+    return costs.make_smooth_svm(
+        n,
+        p,
+        cfg.get("cost.samples_per_agent"),
+        cfg.get("cost.margin"),
+        cfg.get("cost.smoothness"),
+        seed,
+        separation=cfg.get("cost.separation"),
+    )
 
 
 def build_graph(cfg: ExperimentConfig) -> graphs.DirectedGraph:
@@ -268,32 +268,14 @@ def write_trace(records: list[TraceRecord], path: Path) -> None:
         f.writelines(f"{rec.as_csv_row()}\n" for rec in records)
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    tau_max: int
-    alpha: float
-    status: str
-    iters: int
-    final_gap: float
-    final_mse: float
-
-    def as_csv_row(self) -> str:
-        return (
-            f"{self.tau_max!r},{self.alpha!r},{self.status},"
-            f"{self.iters!r},{self.final_gap!r},{self.final_mse!r}"
-        )
-
-
-SUMMARY_HEADER = "tau_max,alpha,status,iters,final_gap,final_mse"
-
-
 def execute_run(
     cfg: ExperimentConfig,
     problem: costs.GlobalProblem | None = None,
     setting: StaticSetting | SwitchingPlan | None = None,
 ) -> RunResult:
     """Run one configured experiment point, on the problem and setting a
-    caller already built for `cfg` where it passes them."""
+    caller already built for `cfg` where it passes them (then only the
+    `run.*` keys are read)."""
     if problem is None:
         problem = build_problem(cfg)
     if setting is None:
@@ -302,10 +284,14 @@ def execute_run(
     return optimizer.run(run_cfg, setting, problem)
 
 
-def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunSummary]:
+SUMMARY_HEADER = "tau_max,alpha,status,iters,final_gap,final_mse"
+
+
+def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunResult]:
     """Execute the configured sweep (or the single configured point), write
     one trace CSV per run plus a summary CSV, and dump the static topology
-    with one delay map per swept delay bound.
+    with one delay map per swept delay bound.  Returns each point's
+    `RunResult`, its records left in its trace file and not kept.
 
     A sweep varies only `delay.tau_max` and `run.alpha`, so the problem and
     the static graph are built once; each bound draws its setting on that
@@ -321,7 +307,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunSummary
     alphas = cfg.get("sweep.alpha") or (cfg.get("run.alpha"),)
     if g is not None:
         graphs.dump_edge_list(g, out / f"{tag}_graph.txt")
-    summaries = []
+    results = []
     for tau in taus:
         if plan is not None:
             setting = replace(plan, tau_max=tau)
@@ -329,25 +315,17 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunSummary
             setting = StaticSetting.draw(g, tau, cfg.get("delay.mode"), cfg.get("delay.seed"))
             delays.dump_delay_map(setting.delays, out / f"{tag}_tau{tau}_delays.txt")
         for alpha in alphas:
-            sub = cfg.with_overrides(**{"delay.tau_max": tau, "run.alpha": alpha})
-            result = execute_run(sub, problem, setting)
-            path = out / f"{tag}_tau{tau}_alpha{alpha!r}.csv"
-            write_trace(result.records, path)
-            summaries.append(
-                RunSummary(
-                    tau_max=tau,
-                    alpha=alpha,
-                    status=result.status,
-                    iters=result.iters,
-                    final_gap=result.final_gap,
-                    final_mse=result.final_mse,
-                )
-            )
+            result = execute_run(cfg.with_overrides(**{"run.alpha": alpha}), problem, setting)
+            write_trace(result.records, out / f"{tag}_tau{tau}_alpha{alpha!r}.csv")
+            result.records = []  # written: not held while the next point runs
+            results.append(result)
 
-    lines = [SUMMARY_HEADER]
-    lines.extend(s.as_csv_row() for s in summaries)
+    lines = [SUMMARY_HEADER] + [
+        f"{r.tau_max!r},{r.alpha!r},{r.status},{r.iters!r},{r.final_gap!r},{r.final_mse!r}"
+        for r in results
+    ]
     (out / f"{tag}_summary.csv").write_text("\n".join(lines) + "\n")
-    return summaries
+    return results
 
 
 def compare_engines(cfg: ExperimentConfig, outdir: str | Path) -> dict:

@@ -11,7 +11,8 @@ A `DirectedGraph` is its node count and two integer arrays: link k is
 `np.nonzero` of the ER sampler's adjacency mask returns and `from_edges`
 sorts into.  No link is a self-loop: a node keeps its own share through the
 diagonal, so `from_edges` (and an edge-list file) drops ``(j, j)``.  The
-builders read the arrays with whole-array operations.  A `WeightMatrix`
+builders, and the graph's `strongly_connected` property, read the arrays
+with whole-array operations.  A `WeightMatrix`
 shares them: one weight per link and the diagonal, |E| + n numbers, checked
 on those arrays; the dense n x n matrix is built only when it is read.
 """
@@ -114,7 +115,8 @@ class DirectedGraph(_Links):
         return cls(n, *_columns([(j, i) for j, i in pairs if j != i], 2))
 
     @cached_property
-    def _strongly_connected(self) -> bool:
+    def strongly_connected(self) -> bool:
+        """Every node reaches every other along directed paths (kept once read)."""
         return self.n == 1 or (
             _reaches_every_node(self.n, self.src, self.dst)
             and _reaches_every_node(self.n, self.dst, self.src)
@@ -193,7 +195,7 @@ def generate_erdos_renyi(
         mask = rng.random((n, n)) < p
         np.fill_diagonal(mask, False)
         g = DirectedGraph(n, *np.nonzero(mask))
-        if not require_strong or is_strongly_connected(g):
+        if not require_strong or g.strongly_connected:
             return g
     raise RetryBudgetError(
         f"no strongly connected G({n}, {p}) digraph in {ER_MAX_RETRIES} samples"
@@ -216,12 +218,6 @@ def generate_exponential_graph(n: int) -> DirectedGraph:
     # mod n by index wrapping: % would load numpy code no other set-up step runs
     dst = np.ravel_multi_index((nodes + rotated,), (n,), mode="wrap")
     return DirectedGraph(n, np.broadcast_to(nodes, dst.shape).ravel(), dst.ravel())
-
-
-def is_strongly_connected(g: DirectedGraph) -> bool:
-    """True iff every node reaches every other node along directed paths.
-    Computed once per graph and kept on it."""
-    return g._strongly_connected
 
 
 def _reaches_every_node(n: int, frm: np.ndarray, to: np.ndarray) -> bool:
@@ -259,7 +255,7 @@ def build_column_stochastic_weights(
     """
     if g.n < 2:
         raise ValueError("weight design needs n >= 2")
-    if require_strong and not is_strongly_connected(g):
+    if require_strong and not g.strongly_connected:
         raise ValueError("weight design requires a strongly connected digraph")
     # out-degrees summed as floats (exact for counts): an int-to-float cast of
     # the counts would touch 64 KiB of numpy code that no other path runs

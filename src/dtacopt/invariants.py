@@ -1,8 +1,8 @@
 """The invariant catalogue: one function per invariant of the convergence
 argument, each returning its worst residual on one instance, and the fixed
-instances `dtacopt selftest` checks them on (the `*_suite` functions).  The
-tests call the same functions over generated instances; of the commands,
-only `selftest` loads this module."""
+instances `dtacopt selftest` checks them on (the `*_suite` functions, which
+`SUITES` names in print order).  The tests call the same functions over
+generated instances; of the commands, only `selftest` loads this module."""
 
 from __future__ import annotations
 
@@ -151,3 +151,14 @@ def spectral_bound_suite() -> None:
         edges = sorted((j, i) for i, j in zip(*np.nonzero(M)) if i != j)
         d = delays.DelayMap.from_dict({e: int(rng.integers(0, 3)) for e in edges}, tau_max=2)
         _check(spectral_bound_excess(M, d), 0.0, "spectral-radius bound violated")
+
+
+# `dtacopt selftest`'s suites: each line's name, in print order
+SUITES = {
+    "column-stochasticity": weights_suite,
+    "gradient-check": gradients_suite,
+    "reduction": reduction_suite,
+    "oracle-equivalence": equivalence_suite,
+    "conservation": conservation_suite,
+    "spectral-bound": spectral_bound_suite,
+}

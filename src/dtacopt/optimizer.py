@@ -415,6 +415,10 @@ class SwitchingPlan:
 
 @dataclass
 class RunResult:
+    """One run; a sweep's summary row is its fields but `records`, in order."""
+
+    tau_max: int
+    alpha: float
     status: str  # CONVERGED | DIVERGED | MAXITER
     iters: int
     final_gap: float
@@ -481,6 +485,8 @@ def run(
     if records[-1].iter != last.iter:
         records.append(last)
     return RunResult(
+        tau_max=engine.tau_max,
+        alpha=config.alpha,
         status=status,
         iters=engine.k,
         final_gap=last.optimality_gap,

@@ -54,13 +54,6 @@ def spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def _minus_identity(M: np.ndarray) -> np.ndarray:
-    """M - I without allocating I; both callers pass the n x n C."""
-    K = M.copy()
-    K[np.diag_indices(K.shape[0])] -= 1.0
-    return K
-
-
 def _check_column_stochastic(A: np.ndarray) -> None:
     if np.max(np.abs(A.sum(axis=0) - 1.0)) > 1e-12:
         raise ValueError("Perron vector needs a column-stochastic matrix")
@@ -94,7 +87,7 @@ def perron_vector(M: AugmentedMatrix | np.ndarray) -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("Perron vector needs a square matrix")
     _check_column_stochastic(A)
-    K = _minus_identity(A)
+    K = A - np.eye(len(A))
     K[-1] = 1.0
     e = np.zeros(K.shape[0])
     e[-1] = 1.0
@@ -231,7 +224,7 @@ def certify(aug: AugmentedMatrix) -> Certificate:
         tau_max=aug.dim // n - 1,
         rho_Cbar=rho_Cbar,
         sigma=sigma,
-        kappa=float(np.linalg.norm(_minus_identity(C), 2)),
+        kappa=float(np.linalg.norm(C - np.eye(n), 2)),
         epsilon=epsilon,
         **asdict(measure_mixing_constants(aug)),
     )
@@ -316,7 +309,6 @@ class SpectralReport:
     y_minus: float
     gamma1: float
     envelope_T: float
-    perron: np.ndarray = field(repr=False)
     certificate: Certificate = field(repr=False)
 
     def lines(self) -> list[str]:
@@ -359,6 +351,5 @@ def build_spectral_report(C: WeightMatrix | np.ndarray, d: DelayMap) -> Spectral
         sigma1_norm2=float(np.linalg.norm(C - C_inf, 2)),
         kappa_aug=kappa_aug,
         epsilon_aug=_projector_norm(pi),
-        perron=pi,
         certificate=cert,
     )

@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from dtacopt.graphs import is_strongly_connected
-
 
 def column_stochastic_weights(g, require_strong: bool = True) -> np.ndarray:
     """C[i, j] = 1 / (1 + outdeg(j)) on each link j -> i and on the diagonal."""
     if g.n < 2:
         raise ValueError("weight design needs n >= 2")
-    if require_strong and not is_strongly_connected(g):
+    if require_strong and not g.strongly_connected:
         raise ValueError("weight design requires a strongly connected digraph")
     senders, receivers = g.src, g.dst
     w = 1.0 / (1.0 + np.bincount(senders, np.ones(len(senders)), g.n))

@@ -401,6 +401,10 @@ def test_an_input_larger_than_memory_is_a_config_error(tmp_path, capsys):
         ("dtacopt.costs", {"dtacopt", "dtacopt.costs"}),
         ("dtacopt.optimizer", {"dtacopt", "dtacopt.costs", "dtacopt.graphs", "dtacopt.delays",
                                "dtacopt.optimizer"}),
+        # the six layers but not the invariant catalogue, which only selftest loads
+        ("dtacopt.cli", {"dtacopt", "dtacopt.cli", "dtacopt.costs", "dtacopt.delays",
+                         "dtacopt.experiment", "dtacopt.graphs", "dtacopt.optimizer",
+                         "dtacopt.spectral"}),
     ],
 )
 def test_importing_a_layer_loads_only_it_and_what_it_imports(module, allowed):
@@ -536,12 +540,12 @@ def test_selftest_fault_injection_trips_gradient_suite(monkeypatch, capsys):
 
 
 def test_selftest_suite_that_raises_fails_with_exit_four(monkeypatch, capsys):
-    from dtacopt import cli
+    from dtacopt import invariants
 
     def singular():
         np.linalg.solve(np.zeros((2, 2)), np.ones(2))
 
-    monkeypatch.setattr(cli, "SELFTEST_SUITES", [("singular", singular)])
+    monkeypatch.setattr(invariants, "SUITES", {"singular": singular})
     code = main(["selftest"])
     captured = capsys.readouterr()
     assert code == 4

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import per_edge
 from dtacopt.delays import DelayMap, assign_delays, build_delay_slices
-from dtacopt.graphs import DirectedGraph, build_column_stochastic_weights, is_strongly_connected
+from dtacopt.graphs import DirectedGraph, build_column_stochastic_weights
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 MODES = ("uniform-random", "homogeneous-max", "zero", "no-such-mode")
@@ -51,8 +51,8 @@ def assert_same(got, want) -> None:
 @given(g=digraphs())
 def test_connectivity_matches_depth_first_search(g):
     want = per_edge.strongly_connected(g)
-    assert is_strongly_connected(g) is want
-    assert is_strongly_connected(g) is want  # the cached answer
+    assert g.strongly_connected is want
+    assert g.strongly_connected is want  # the cached answer
 
 
 @PROPERTY

@@ -169,6 +169,15 @@ def test_b_connected_switching_mode_accepts_raw_topologies():
     assert max(rec.mass_error for rec in finite_rows) < 1e-10
 
 
+@pytest.mark.parametrize("switching", [False, True])
+def test_run_result_carries_its_delay_bound_and_step_size(switching):
+    cfg = fast_config(**{"delay.tau_max": 3, "run.alpha": 0.003, "run.max_iters": 20,
+                         "switching.enabled": switching})
+    result = execute_run(cfg)
+    assert type(result.tau_max) is int and result.tau_max == cfg.get("delay.tau_max")
+    assert type(result.alpha) is float and result.alpha == cfg.get("run.alpha")
+
+
 def test_engine_selection_via_config():
     per_node = execute_run(fast_config())
     oracle = execute_run(fast_config(**{"run.engine": "augmented-oracle"}))
@@ -193,8 +202,9 @@ def test_zero_delay_config_reduces_to_baseline():
 
 def test_run_experiment_writes_traces_and_summary(tmp_path):
     cfg = fast_config(**{"sweep.tau_max": (0, 2), "sweep.alpha": (0.004,)})
-    summaries = run_experiment(cfg, tmp_path)
-    assert len(summaries) == 2
+    results = run_experiment(cfg, tmp_path)
+    assert [(r.tau_max, r.alpha) for r in results] == [(0, 0.004), (2, 0.004)]
+    assert [r.records for r in results] == [[], []]  # the rows are in the files alone
     assert (tmp_path / "run_summary.csv").exists()
     assert (tmp_path / "run_graph.txt").exists()
     for tau in (0, 2):  # one delay map per swept bound, as that point ran it
@@ -202,17 +212,21 @@ def test_run_experiment_writes_traces_and_summary(tmp_path):
         assert lines[0] == f"# tau_max={tau}"
         assert max(int(line.split()[2]) for line in lines[1:]) == tau
     assert not (tmp_path / "run_delays.txt").exists()
-    for s in summaries:
-        trace = tmp_path / f"run_tau{s.tau_max}_alpha{s.alpha!r}.csv"
+    for r in results:
+        trace = tmp_path / f"run_tau{r.tau_max}_alpha{r.alpha!r}.csv"
         assert trace.exists()
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "iter,optimality_gap,mse,consensus_error,grad_tracker_sum_error,mass_error"
         final = lines[-1].split(",")
-        assert int(final[0]) == s.iters
-        assert float(final[1]) == s.final_gap
+        assert int(final[0]) == r.iters
+        assert float(final[1]) == r.final_gap
     summary_lines = (tmp_path / "run_summary.csv").read_text().strip().splitlines()
     assert summary_lines[0] == "tau_max,alpha,status,iters,final_gap,final_mse"
     assert len(summary_lines) == 3
+    for line, r in zip(summary_lines[1:], results):  # each row is its result's fields
+        tau, alpha, status, iters, gap, mse = line.split(",")
+        assert (int(tau), float(alpha), status) == (r.tau_max, r.alpha, r.status)
+        assert (int(iters), float(gap), float(mse)) == (r.iters, r.final_gap, r.final_mse)
 
 
 def test_run_experiment_is_byte_deterministic(tmp_path):
@@ -231,9 +245,9 @@ def test_diverged_run_is_a_summary_row_not_an_error(tmp_path):
     cfg = load_config(None).with_overrides(
         **{"delay.tau_max": 15, "run.alpha": 0.005, "run.max_iters": 3000}
     )
-    summaries = run_experiment(cfg, tmp_path)
-    assert summaries[0].status == "DIVERGED"
-    assert summaries[0].final_mse > 1e12
+    results = run_experiment(cfg, tmp_path)
+    assert results[0].status == "DIVERGED"
+    assert results[0].final_mse > 1e12
 
 
 def test_compare_engines_columns_and_status_row(tmp_path):

@@ -12,7 +12,6 @@ from dtacopt.graphs import (
     dump_edge_list,
     generate_erdos_renyi,
     generate_exponential_graph,
-    is_strongly_connected,
     load_edge_list,
 )
 
@@ -44,13 +43,13 @@ def cycle(n: int) -> DirectedGraph:
 def test_er_two_nodes_full_probability_is_complete():
     g = generate_erdos_renyi(2, 1.0, seed=0)
     assert links(g) == [(0, 1), (1, 0)]
-    assert is_strongly_connected(g)
+    assert g.strongly_connected
 
 
 def test_er_sample_is_strongly_connected():
     g = generate_erdos_renyi(10, 0.5, seed=7)
     assert g.n == 10
-    assert is_strongly_connected(g)
+    assert g.strongly_connected
 
 
 def test_er_tiny_probability_exhausts_retries():
@@ -92,7 +91,7 @@ def test_exponential_graph_sixteen_nodes_out_degree_four():
         outs = g.dst[g.src == i].tolist()
         assert len(outs) == 4
         assert set(outs) == {(i + h) % 16 for h in (1, 2, 4, 8)}
-    assert is_strongly_connected(g)
+    assert g.strongly_connected
 
 
 def test_exponential_graph_equals_its_sorted_edge_list():
@@ -105,11 +104,11 @@ def test_exponential_graph_equals_its_sorted_edge_list():
 
 
 def test_strong_connectivity_on_known_graphs():
-    assert is_strongly_connected(cycle(3))
+    assert cycle(3).strongly_connected
     path = DirectedGraph(3, [0, 1], [1, 2])
-    assert not is_strongly_connected(path)
+    assert not path.strongly_connected
     complete5 = DirectedGraph.from_edges((i, j) for i in range(5) for j in range(5) if i != j)
-    assert is_strongly_connected(complete5)
+    assert complete5.strongly_connected
 
 
 def test_edge_arrays_follow_sorted_edges(tmp_path):
@@ -193,7 +192,7 @@ def test_strong_connectivity_matches_brute_force_oracle():
         mask = rng.random((n, n)) < rng.uniform(0.1, 0.9)
         np.fill_diagonal(mask, False)
         g = DirectedGraph(n, *np.nonzero(mask))
-        assert is_strongly_connected(g) == brute_force_strongly_connected(g)
+        assert g.strongly_connected == brute_force_strongly_connected(g)
 
 
 def test_weights_complete_two_node():
@@ -249,7 +248,7 @@ def test_er_epoch_streams_are_deterministic_and_connected():
     assert same_links(g0a, g0b)
     assert not same_links(g0a, g1)
     for e in range(5):
-        assert is_strongly_connected(epoch(e))
+        assert epoch(e).strongly_connected
 
 
 def test_er_b_connected_mode_skips_retries():
@@ -258,7 +257,7 @@ def test_er_b_connected_mode_skips_retries():
         return generate_erdos_renyi(6, 0.4, stream, require_strong=require_strong)
 
     raw = [epoch(e, False) for e in range(30)]
-    connected = [is_strongly_connected(g) for g in raw]
+    connected = [g.strongly_connected for g in raw]
     assert not all(connected)  # raw samples at low p are often not connected
     assert any(connected)
     # a connected first draw is what the retrying sampler returns too

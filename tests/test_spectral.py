@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contraction import build_G_H
@@ -165,7 +165,21 @@ def _dense_pilot(aug) -> tuple[DensePilot, np.ndarray]:
     return DensePilot(max(sups), max(inv_sups), gamma1, envelope_T), gaps
 
 
+def dense_sigma(M: np.ndarray, pi: np.ndarray) -> float:
+    """rho(M - pi 1^T) by one dense `eigvals`, or 0 when the deflation D is
+    nilpotent.  `eigvals` places a zero eigenvalue in a Jordan block of size
+    k only to within about eps^(1/k): it reads 3e-10 on the complete graph
+    with empty delay slices.  rho(D) <= ||D^N||_2^(1/N), and a bound at or
+    below 1e-8, far under the smallest nonzero sigma this family draws
+    (0.018 over 3000 instances), is read as D^N = 0."""
+    D = M - np.outer(pi, 1)
+    if np.linalg.norm(np.linalg.matrix_power(D, len(D)), 2) ** (1 / len(D)) <= 1e-8:
+        return 0.0
+    return spectral_radius(D)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@example(n=3, tau_max=0, mode="dead-slots", p=1.0, seed=0)  # nilpotent deflation
 @given(
     n=st.integers(1, 8),
     tau_max=st.integers(0, 4),
@@ -200,8 +214,7 @@ def test_structured_spectral_paths_match_dense_oracles(n, tau_max, mode, p, seed
     report = build_spectral_report(C, d)
     pi = perron_vector(aug.entries)
     assert np.max(np.abs(perron_vector(aug) - pi)) < 1e-12
-    assert np.array_equal(report.perron, perron_vector(aug))
-    sigma = spectral_radius(aug.entries - np.outer(pi, 1))
+    sigma = dense_sigma(aug.entries, pi)
     assert abs(contraction_sigma(aug) - sigma) < 1e-10 and abs(report.sigma - sigma) < 1e-10
     # ||I - pi 1^T||, including N = 1 where the projector is 0
     for eps, v in ((report.epsilon_aug, pi), (report.epsilon, perron_vector(C))):
@@ -471,7 +484,6 @@ def test_spectral_report_field_consistency():
     assert report.epsilon == pytest.approx(
         np.linalg.norm(np.eye(report.n) - limit_matrix(C), 2), rel=1e-12
     )
-    assert len(report.perron) == N
     rec = report.record()
     assert "sigma=" in rec and "\n" not in rec
 

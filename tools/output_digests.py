@@ -16,12 +16,14 @@ Two checkouts that print the same listing wrote the same bytes, the same
 `STATUS` lines and the same exit codes.  The commands inherit this script's
 environment (only PYTHONPATH is set), so a BLAS thread count such as
 OPENBLAS_NUM_THREADS reaches them.  CI diffs the listing of a pull
-request's base commit against its head's under one and two BLAS threads:
+request's base commit against its head's under one and two BLAS threads,
+and once more with the variable unset (the BLAS default):
 
     git worktree add ../base BASE_SHA
-    for t in 1 2; do
-        OPENBLAS_NUM_THREADS=$t python tools/output_digests.py ../base > base_$t.txt
-        OPENBLAS_NUM_THREADS=$t python tools/output_digests.py . > head_$t.txt
+    for t in 1 2 default; do
+        if [ $t = default ]; then unset OPENBLAS_NUM_THREADS; else export OPENBLAS_NUM_THREADS=$t; fi
+        python tools/output_digests.py ../base > base_$t.txt
+        python tools/output_digests.py . > head_$t.txt
         diff -u base_$t.txt head_$t.txt
     done
 """
