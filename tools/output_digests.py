@@ -15,9 +15,11 @@ and `selftest`'s per-suite timings by `[<t>s]`, and then, for the entry,
 Two checkouts that print the same listing wrote the same bytes, the same
 `STATUS` lines and the same exit codes.  The commands inherit this script's
 environment (only PYTHONPATH is set), so a BLAS thread count such as
-OPENBLAS_NUM_THREADS reaches them.  CI diffs the listing of a pull
-request's base commit against its head's under one and two BLAS threads,
-and once more with the variable unset (the BLAS default):
+OPENBLAS_NUM_THREADS=2 reaches them and is kept; with the variable unset the
+package runs one BLAS thread, so that listing is the one under `=1`.  CI
+diffs the listing of a pull request's base commit against its head's under
+one and two BLAS threads and with the variable unset, then head's unset
+listing against its `=1` listing:
 
     git worktree add ../base BASE_SHA
     for t in 1 2 default; do
@@ -26,6 +28,7 @@ and once more with the variable unset (the BLAS default):
         python tools/output_digests.py . > head_$t.txt
         diff -u base_$t.txt head_$t.txt
     done
+    diff -u head_1.txt head_default.txt
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ LOOPED_DELAYS = ("# tau_max=3\n0 0 0\n0 1 2\n1 2 1\n1 4 3\n2 2 0\n2 3 0\n3 1 2\n
 # a switching compare and sweep, a sweep whose graph and delay files
 # `spectral` and `check-bound` then certify, two sweeps on different graphs
 # under two tags, `spectral` on one's graph with the other's delays (exit 1),
-# `spectral` and `check-bound` at N=420, whose last bits follow the BLAS
-# thread count, `check-bound` on both sides of its verdict, hand-written graph and delay
+# `spectral` and `check-bound` at N=420, whose last bits follow a BLAS
+# thread count the caller sets, `check-bound` on both sides of its verdict, hand-written graph and delay
 # files that list self-loops (`j j`, `j j 0`; then `j j 1`, exit 1), a
 # graph that cannot be sampled strongly connected (exit 1), and the selftest
 COMMANDS = (
