@@ -54,7 +54,7 @@ def cmd_run(args) -> int:
     result = execute_run(cfg, problem, setting)
     tag = cfg.get("experiment.tag")
     trace_path = outdir / f"{tag}_trace.csv"
-    write_trace(result.records, trace_path)
+    write_trace(result.trace, trace_path)
     print(result.status_line())
     print(f"trace: {trace_path}")
     return EXIT_OK

@@ -15,14 +15,16 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import costs, delays, graphs, optimizer
 from .optimizer import (
     RunConfig,
     RunResult,
     StaticSetting,
     SwitchingPlan,
+    TRACE_DTYPE,
     TRACE_HEADER,
-    TraceRecord,
 )
 
 
@@ -261,11 +263,13 @@ def build_setting(cfg: ExperimentConfig) -> StaticSetting | SwitchingPlan:
     )
 
 
-def write_trace(records: list[TraceRecord], path: Path) -> None:
-    """Write the rows one at a time: a trace's text is never whole in memory."""
+def write_trace(trace: np.ndarray, path: Path) -> None:
+    """Write a run's trace (`RunResult.trace`) one row at a time, so its text
+    is never whole in memory.  Each field prints as the repr of its Python
+    int or float, `inf`, `nan` and `-0.0` included."""
     with path.open("w") as f:
         f.write(TRACE_HEADER + "\n")
-        f.writelines(f"{rec.as_csv_row()}\n" for rec in records)
+        f.writelines(",".join(map(repr, row.item())) + "\n" for row in trace)
 
 
 def execute_run(
@@ -291,7 +295,7 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunResult]
     """Execute the configured sweep (or the single configured point), write
     one trace CSV per run plus a summary CSV, and dump the static topology
     with one delay map per swept delay bound.  Returns each point's
-    `RunResult`, its records left in its trace file and not kept.
+    `RunResult`, its `trace` emptied once it is written to its file.
 
     A sweep varies only `delay.tau_max` and `run.alpha`, so the problem and
     the static graph are built once; each bound draws its setting on that
@@ -316,8 +320,8 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunResult]
             delays.dump_delay_map(setting.delays, out / f"{tag}_tau{tau}_delays.txt")
         for alpha in alphas:
             result = execute_run(cfg.with_overrides(**{"run.alpha": alpha}), problem, setting)
-            write_trace(result.records, out / f"{tag}_tau{tau}_alpha{alpha!r}.csv")
-            result.records = []  # written: not held while the next point runs
+            write_trace(result.trace, out / f"{tag}_tau{tau}_alpha{alpha!r}.csv")
+            result.trace = np.empty(0, TRACE_DTYPE)  # written: not held during the next point
             results.append(result)
 
     lines = [SUMMARY_HEADER] + [
@@ -328,10 +332,27 @@ def run_experiment(cfg: ExperimentConfig, outdir: str | Path) -> list[RunResult]
     return results
 
 
+def _gap_lines(delayed: np.ndarray, baseline: np.ndarray):
+    """The compare CSV's `iter,delayed gap,baseline gap` lines, one for each
+    iteration either trace recorded, in order: one merge of the two traces'
+    increasing `iter` columns.  A trace that did not record an iteration
+    leaves its cell empty."""
+    legs = [zip(map(int, t["iter"]), map(float, t["optimality_gap"])) for t in (delayed, baseline)]
+    heads = [next(leg, None) for leg in legs]
+    while heads != [None, None]:
+        it = min(head[0] for head in heads if head is not None)
+        cells = ["", ""]
+        for k, head in enumerate(heads):
+            if head is not None and head[0] == it:
+                cells[k] = repr(head[1])
+                heads[k] = next(legs[k], None)
+        yield f"{it},{cells[0]},{cells[1]}\n"
+
+
 def compare_engines(cfg: ExperimentConfig, outdir: str | Path) -> dict:
     """Run the delayed per-node engine and the delay-free baseline on the
     same problem, setting and initialization (the baseline ignores the
-    delays); emit aligned gap-vs-iteration columns.
+    delays); emit aligned gap-vs-iteration columns (`_gap_lines`).
 
     The CSV ends with a `status,...` row carrying each engine's outcome.
     """
@@ -346,16 +367,8 @@ def compare_engines(cfg: ExperimentConfig, outdir: str | Path) -> dict:
     baseline = execute_run(
         cfg.with_overrides(**{"run.engine": "addopt-nodelay"}), problem, setting
     )
-    iters = sorted(
-        {r.iter for r in delayed.records} | {r.iter for r in baseline.records}
-    )
-    d_map = {r.iter: r.optimality_gap for r in delayed.records}
-    b_map = {r.iter: r.optimality_gap for r in baseline.records}
     with (out / f"{tag}_compare.csv").open("w") as f:
         f.write("iter,gap_delay_tolerant,gap_delay_free\n")
-        for it in iters:
-            left = repr(d_map[it]) if it in d_map else ""
-            right = repr(b_map[it]) if it in b_map else ""
-            f.write(f"{it},{left},{right}\n")
+        f.writelines(_gap_lines(delayed.trace, baseline.trace))
         f.write(f"status,{delayed.status},{baseline.status}\n")
     return {"delayed": delayed, "baseline": baseline}

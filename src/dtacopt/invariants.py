@@ -73,14 +73,14 @@ def lockstep_residuals(
         return np.abs(pair[0].W - pair[1].W).max()
 
     classes = (DtacEngine, AugmentedEngine)
-    return (_lockstep(problem, setting, rounds, alpha, seed, classes, measure), *conservation(rows))
+    deviation = _lockstep(problem, setting, rounds, alpha, seed, classes, measure)
+    return (deviation, *conservation(np.array(rows, optimizer.TRACE_DTYPE)))
 
 
-def conservation(rows) -> tuple[float, float]:
+def conservation(trace: np.ndarray) -> tuple[float, float]:
     """Worst weight-mass and tracker-mass residuals, in-flight packets
-    counted, over metric rows as `optimizer._metrics` records them."""
-    return (float(np.max([r.mass_error for r in rows])),
-            float(np.max([r.grad_tracker_sum_error for r in rows])))
+    counted, over a trace's rows (`RunResult.trace`)."""
+    return float(np.max(trace["mass_error"])), float(np.max(trace["grad_tracker_sum_error"]))
 
 
 def spectral_bound_excess(A: np.ndarray, d: delays.DelayMap) -> float:
@@ -134,7 +134,7 @@ def conservation_suite() -> None:
     setting = StaticSetting.draw(graphs.generate_erdos_renyi(8, 0.5, 21), 4, "uniform-random", 22)
     run = optimizer.run(optimizer.RunConfig(0.004, 300, 0.0, 1, "per-node", 2), setting,
                         costs.make_quadratic(8, 3, 23))
-    mass, tracker = conservation(run.records)
+    mass, tracker = conservation(run.trace)
     _check(mass, 1e-10, "weight mass drifted")
     _check(tracker, 1e-9, "tracker mass drifted from gradient mass")
 

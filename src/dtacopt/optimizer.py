@@ -42,7 +42,8 @@ current gradient scale so it stays meaningful on diverging runs.  The module
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -323,10 +324,8 @@ ENGINES: dict[str, type[_EngineBase]] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class TraceRecord:
-    """One metric row; all finite unless the run diverged.  A run keeps every
-    recorded row, so rows hold their fields in slots, without a __dict__."""
+class TraceRecord(NamedTuple):
+    """One metric row; all finite unless the run diverged."""
 
     iter: int
     optimality_gap: float
@@ -335,14 +334,15 @@ class TraceRecord:
     grad_tracker_sum_error: float
     mass_error: float
 
-    def as_csv_row(self) -> str:
-        return (
-            f"{self.iter!r},{self.optimality_gap!r},{self.mse!r},"
-            f"{self.consensus_error!r},{self.grad_tracker_sum_error!r},{self.mass_error!r}"
-        )
 
+TRACE_HEADER = ",".join(TraceRecord._fields)
 
-TRACE_HEADER = ",".join(f.name for f in fields(TraceRecord))
+# a run's trace: one 48-byte row per recorded iteration, TraceRecord's fields
+TRACE_DTYPE = np.dtype(
+    [("iter", np.int64)] + [(name, np.float64) for name in TraceRecord._fields[1:]]
+)
+
+_TRACE_START = 64  # rows a trace holds before it first grows
 
 
 # a run whose mean squared distance to z* passes this is DIVERGED
@@ -415,7 +415,7 @@ class SwitchingPlan:
 
 @dataclass
 class RunResult:
-    """One run; a sweep's summary row is its fields but `records`, in order."""
+    """One run; a sweep's summary row is its fields but `trace`, in order."""
 
     tau_max: int
     alpha: float
@@ -423,7 +423,7 @@ class RunResult:
     iters: int
     final_gap: float
     final_mse: float
-    records: list[TraceRecord]
+    trace: np.ndarray  # TRACE_DTYPE, one row per recorded iteration
 
     def status_line(self) -> str:
         return f"STATUS {self.status} iters={self.iters} final_gap={self.final_gap!r}"
@@ -447,6 +447,16 @@ def _metrics(engine, problem: GlobalProblem) -> TraceRecord:
     )
 
 
+def _keep(trace: np.ndarray, rows: int, row: TraceRecord) -> int:
+    """Write `row` after the first `rows` rows of `trace`, doubling `trace`
+    in place when it is full; returns the new row count.  Only `run()` holds
+    `trace` while it grows, and it takes no view of it."""
+    if rows == len(trace):
+        trace.resize(2 * rows, refcheck=False)
+    trace[rows] = row
+    return rows + 1
+
+
 def run(
     config: RunConfig,
     setting: StaticSetting | SwitchingPlan,
@@ -456,7 +466,9 @@ def run(
 
     On a SwitchingPlan the topology (and a fresh delay map at the same
     bound) is installed every `period` iterations; packets already in
-    flight are still delivered on their original schedule.
+    flight are still delivered on their original schedule.  The trace
+    holds the round-0 row, the row of every `record_every`-th iteration and
+    the final row.
     """
     switching = isinstance(setting, SwitchingPlan)
     current = setting.realize(0) if switching else setting
@@ -465,9 +477,10 @@ def run(
         current.delays, config.alpha,
     )
 
-    records = [_metrics(engine, problem)]
+    last = _metrics(engine, problem)
+    trace = np.empty(_TRACE_START, TRACE_DTYPE)
+    rows = _keep(trace, 0, last)
     status = "MAXITER"
-    last = records[-1]
     for k in range(config.max_iters):
         if switching and k > 0 and k % setting.period == 0:
             current = setting.realize(k // setting.period)
@@ -475,15 +488,16 @@ def run(
         engine.step()
         last = _metrics(engine, problem)
         if engine.k % config.record_every == 0:
-            records.append(last)
+            rows = _keep(trace, rows, last)
         if not math.isfinite(last.mse) or last.mse > DIVERGENCE_MSE:
             status = "DIVERGED"
             break
         if last.optimality_gap < config.tol:
             status = "CONVERGED"
             break
-    if records[-1].iter != last.iter:
-        records.append(last)
+    if engine.k % config.record_every:  # the final row is off the cadence
+        rows = _keep(trace, rows, last)
+    trace.resize(rows, refcheck=False)  # in place: no copy of the rows
     return RunResult(
         tau_max=engine.tau_max,
         alpha=config.alpha,
@@ -491,5 +505,5 @@ def run(
         iters=engine.k,
         final_gap=last.optimality_gap,
         final_mse=last.mse,
-        records=records,
+        trace=trace,
     )

@@ -119,7 +119,7 @@ def test_criterion_01_static_er_reproduction(static_run):
 
 def test_criterion_02_switching_reproduction(switching_run):
     result, elapsed = switching_run
-    gaps = [rec.optimality_gap for rec in result.records]
+    gaps = result.trace["optimality_gap"].tolist()
     non_monotone = sum(1 for a, b in zip(gaps, gaps[1:]) if b > a)
     ok = (
         result.status == "CONVERGED"
@@ -152,16 +152,9 @@ def test_criterion_03_delay_step_size_sweep(sweep_runs):
 def test_criterion_04_zero_delay_reduction(reduction_traces):
     worst = 0.0
     for delayed, baseline in reduction_traces:
-        assert len(delayed.records) == len(baseline.records)
-        for a, b in zip(delayed.records, baseline.records):
-            worst = max(
-                worst,
-                abs(a.optimality_gap - b.optimality_gap),
-                abs(a.mse - b.mse),
-                abs(a.consensus_error - b.consensus_error),
-                abs(a.grad_tracker_sum_error - b.grad_tracker_sum_error),
-                abs(a.mass_error - b.mass_error),
-            )
+        assert np.array_equal(delayed.trace["iter"], baseline.trace["iter"])
+        for name in delayed.trace.dtype.names[1:]:
+            worst = max(worst, float(np.max(np.abs(delayed.trace[name] - baseline.trace[name]))))
     ok = worst <= 1e-14
     report(4, ok, f"tau=0 trace deviation across 5 instances: {worst:.2e}")
 
@@ -184,21 +177,21 @@ def test_criterion_06_conservation_laws(
     mass_worst = 0.0
     tracker_worst = 0.0
 
-    def absorb(records):
-        nonlocal mass_worst, tracker_worst
-        for rec in records:
-            if np.isfinite(rec.mass_error):
-                mass_worst = max(mass_worst, rec.mass_error)
-            if np.isfinite(rec.grad_tracker_sum_error):
-                tracker_worst = max(tracker_worst, rec.grad_tracker_sum_error)
+    def finite_max(column):
+        return float(np.max(column, initial=0.0, where=np.isfinite(column)))
 
-    absorb(static_run[0].records)
-    absorb(switching_run[0].records)
+    def absorb(trace):
+        nonlocal mass_worst, tracker_worst
+        mass_worst = max(mass_worst, finite_max(trace["mass_error"]))
+        tracker_worst = max(tracker_worst, finite_max(trace["grad_tracker_sum_error"]))
+
+    absorb(static_run[0].trace)
+    absorb(switching_run[0].trace)
     for result in sweep_runs[0].values():
-        absorb(result.records)
+        absorb(result.trace)
     for delayed, baseline in reduction_traces:
-        absorb(delayed.records)
-        absorb(baseline.records)
+        absorb(delayed.trace)
+        absorb(baseline.trace)
     for _, mass, tracker in equivalence_runs[0]:  # np.max keeps a NaN
         mass_worst = float(np.max([mass_worst, mass]))
         tracker_worst = float(np.max([tracker_worst, tracker]))
@@ -391,10 +384,8 @@ def test_criterion_11_exponential_graph_logistic_comparison(tmp_path):
     delayed, baseline = results["delayed"], results["baseline"]
 
     def iters_to(result, level):
-        for rec in result.records:
-            if rec.optimality_gap <= level:
-                return rec.iter
-        return None
+        reached = np.flatnonzero(result.trace["optimality_gap"] <= level)
+        return int(result.trace["iter"][reached[0]]) if len(reached) else None
 
     it_d = iters_to(delayed, 1e-4)
     it_b = iters_to(baseline, 1e-4)

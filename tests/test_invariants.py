@@ -95,7 +95,7 @@ def test_switching_runs_conserve_mass(n, p, require_strong, period, tau, mode, f
     prob = FAMILIES[family](n, seed)
     for engine in ("per-node", "augmented-oracle"):
         config = RunConfig(step_size(prob), 24, 0.0, 1, engine, seed)
-        mass, tracker = conservation(run(config, plan, prob).records)
+        mass, tracker = conservation(run(config, plan, prob).trace)
         assert mass <= 1e-10
         assert tracker <= 1e-9
 

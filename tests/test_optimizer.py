@@ -1,5 +1,5 @@
 import hashlib
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -268,7 +268,7 @@ def test_delayed_convergence_on_er_instance():
     result = run(cfg, setting, prob)
     assert result.iters <= 5000
     assert result.final_gap < 1e-8
-    assert result.records[-1].consensus_error < 1e-6
+    assert result.trace[-1]["consensus_error"] < 1e-6
 
 
 def test_run_statuses_and_divergence_marker():
@@ -296,7 +296,7 @@ def test_run_convergence_status_and_trace_cadence():
     result = run(cfg, setting, prob)
     assert result.status == "CONVERGED"
     assert result.final_gap < 1e-9
-    iters = [rec.iter for rec in result.records]
+    iters = result.trace["iter"].tolist()
     assert iters[0] == 0
     assert all(b > a for a, b in zip(iters, iters[1:]))
     assert iters[-1] == result.iters
@@ -316,7 +316,7 @@ def test_switching_plan_converges_and_preserves_mass():
     )
     result = run(cfg, plan, prob)
     assert result.status == "CONVERGED"
-    mass, tracker = conservation(result.records)
+    mass, tracker = conservation(result.trace)
     assert mass < 1e-10
     assert tracker < 1e-9
 
@@ -375,13 +375,12 @@ def test_run_switches_topology_on_every_engine():
     }
     per_node, oracle = results["per-node"], results["augmented-oracle"]
     assert (oracle.status, oracle.iters) == (per_node.status, per_node.iters)
-    assert len(oracle.records) == len(per_node.records)
-    for a, b in zip(per_node.records, oracle.records):
-        assert a.iter == b.iter
-        assert np.allclose(astuple(a)[1:], astuple(b)[1:], rtol=0.0, atol=1e-10)
+    assert np.array_equal(oracle.trace["iter"], per_node.trace["iter"])
+    for name in per_node.trace.dtype.names[1:]:
+        assert np.allclose(per_node.trace[name], oracle.trace[name], rtol=0.0, atol=1e-10)
     baseline = results["addopt-nodelay"]
     assert baseline.status == "CONVERGED"
-    assert conservation(baseline.records)[0] < 1e-10
+    assert conservation(baseline.trace)[0] < 1e-10
 
 
 def test_switching_lockstep_across_engines():

@@ -1,8 +1,6 @@
 """The engines' round and metric row against `reference_round`, bit for bit."""
 
 import math
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,7 +68,7 @@ def _assert_same_state(a, b):
 def _assert_same_row(a, b):
     """Field for field the same type and repr, so NaN equals NaN and -0.0
     differs from 0.0."""
-    assert [(type(v), repr(v)) for v in astuple(a)] == [(type(v), repr(v)) for v in astuple(b)]
+    assert [(type(v), repr(v)) for v in a] == [(type(v), repr(v)) for v in b]
 
 
 def _negate_weights(engine):

@@ -49,22 +49,26 @@ LOOPED_DELAYS = ("# tau_max=3\n0 0 0\n0 1 2\n1 2 1\n1 4 3\n2 2 0\n2 3 0\n3 1 2\n
                  "3 4 1\n4 5 3\n5 0 1\n5 5 0\n")
 
 # (name, argv, ...): the README commands, one run under each engine and cost
-# family, large sparse runs whose products take the nonzero (bincount) route
-# under each delay mode and under the delay-free engine, a switching run
-# whose epochs take that route, a one-point sweep that writes the edge list, delay map and trace of an
-# exponential graph whose hops wrap unevenly (n=257) on least-squares costs,
-# a switching compare and sweep, a sweep whose graph and delay files
-# `spectral` and `check-bound` then certify, two sweeps on different graphs
-# under two tags, `spectral` on one's graph with the other's delays (exit 1),
-# `spectral` and `check-bound` at N=420, whose last bits follow a BLAS
-# thread count the caller sets, `check-bound` on both sides of its verdict, hand-written graph and delay
-# files that list self-loops (`j j`, `j j 0`; then `j j 1`, exit 1), a
-# graph that cannot be sampled strongly connected (exit 1), and the selftest
+# family, a run and a compare that record every 7th iteration (each run ends
+# off that cadence, so its final row is written apart, and a compare's two
+# columns end at different iterations), large sparse runs whose products take
+# the nonzero (bincount) route under each delay mode and under the delay-free
+# engine, a switching run whose epochs take that route, a one-point sweep that
+# writes the edge list, delay map and trace of an exponential graph whose hops
+# wrap unevenly (n=257) on least-squares costs, a switching compare and sweep,
+# a sweep whose graph and delay files `spectral` and `check-bound` then
+# certify, two sweeps on different graphs under two tags, `spectral` on one's
+# graph with the other's delays (exit 1), `spectral` and `check-bound` at
+# N=420, whose last bits follow a BLAS thread count the caller sets,
+# `check-bound` on both sides of its verdict, hand-written graph and delay
+# files that list self-loops (`j j`, `j j 0`; then `j j 1`, exit 1), a graph
+# that cannot be sampled strongly connected (exit 1), and the selftest
 COMMANDS = (
     ("run", ("run",)),
     ("run-oracle", ("run", "--set", "run.engine=augmented-oracle")),
     ("run-addopt", ("run", "--set", "run.engine=addopt-nodelay")),
     ("run-zero-delay", ("run", "--set", "delay.tau_max=0")),
+    ("run-record-every", ("run", "--set", "run.record_every=7")),
     ("run-switching", ("run", "--set", "switching.enabled=true")),
     ("run-b-connected", ("run", "--set", "switching.enabled=true",
                          "--set", "switching.mode=b-connected", "--set", "run.max_iters=2000")),
@@ -91,6 +95,7 @@ COMMANDS = (
                            "--set", "cost.type=least_squares", "--set", "run.max_iters=5")),
     ("compare-logistic", ("compare", *LOGISTIC)),
     ("compare-switching", ("compare", "--set", "switching.enabled=true")),
+    ("compare-record-every", ("compare", "--set", "run.record_every=7")),
     ("sweep-switching", ("sweep", "--set", "switching.enabled=true",
                          "--set", "sweep.tau_max=2,4", "--set", "sweep.alpha=0.002,0.005",
                          "--set", "run.max_iters=1500")),
