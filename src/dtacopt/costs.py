@@ -66,9 +66,14 @@ def _einsum_t(M: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def _gram_top(F: np.ndarray, offset: float) -> np.ndarray:
-    """Per node, the largest eigenvalue of the Gram of [F[i] | offset * 1]."""
+    """Per node, the largest eigenvalue of the Gram of [F[i] | offset * 1],
+    for features F drawn by `_two_cluster_data`."""
     tilde = np.concatenate([F, np.full((*F.shape[:2], 1), offset)], axis=2)
-    return np.linalg.eigvalsh(np.matmul(tilde.transpose(0, 2, 1), tilde))[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.matmul(tilde.transpose(0, 2, 1), tilde)
+    if not np.isfinite(gram).all():
+        raise ValueError("separation too large: the features' Gram matrix overflows")
+    return np.linalg.eigvalsh(gram)[:, -1]
 
 
 class GlobalProblem:
@@ -181,7 +186,9 @@ class _LogisticProblem(GlobalProblem):
         w, beta = z[:-1], z[-1]
         margins = self.labels.ravel() * (self.features.reshape(-1, w.shape[0]) @ w + beta)
         loss = self.scale * float(np.sum(_log1pexp(-margins)))
-        ridge = 0.5 * self.lam * float(w @ w) + 0.5 * self.bias_ridge * float(beta**2)
+        ridge = 0.5 * self.lam * float(w @ w)
+        if self.bias_ridge:  # 0 * inf would make a diverged run's gap NaN
+            ridge += 0.5 * self.bias_ridge * float(beta**2)
         return loss + self.n * ridge
 
 

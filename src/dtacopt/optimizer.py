@@ -34,8 +34,9 @@ in-flight:
     sum(y-hat) == n                    (weight mass)
     sum(g-hat) == sum_i grad_i(z_i)    (tracker mass = current gradient mass)
 
-Both are recorded per iteration; the tracker residual is normalized by the
-current gradient scale so it stays meaningful on diverging runs.  The module
+`masses()` reads both; each kept trace row records their residuals (every
+round at `record_every=1`), the tracker residual normalized by the current
+gradient scale so it stays meaningful on diverging runs.  The module
 `invariants` checks these laws, the lockstep and the zero-delay reduction.
 """
 
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -175,7 +175,7 @@ class _EngineBase:
 
     Every engine is built by this constructor: it takes the round-0 block W0,
     installs the round-0 topology with `set_topology(C, delays)` -- the call
-    `run()` makes again at every switch -- and measures the conserved masses.
+    `run()` makes again at every switch.
     """
 
     def __init__(
@@ -196,16 +196,16 @@ class _EngineBase:
         self.grad_prev = self.W[:, self.p + 1 :].copy()
         self.k = 0
         self.set_topology(C, delays)
-        self._measure()
 
     def _init_state(self, W: np.ndarray) -> None:
         """Hold the packed round-0 block; nothing is in flight yet."""
         self.W = W
 
-    def _measure(self) -> None:
+    def masses(self) -> tuple[float, np.ndarray]:
+        """The weight mass sum(y-hat) and tracker mass sum(g-hat), live plus
+        in flight."""
         p = self.p
-        self.mass = float(np.add.reduce(self.W[:, p], None))
-        self.tracker_mass = np.add.reduce(self.W[:, p + 1 :], 0)
+        return float(np.add.reduce(self.W[:, p], None)), np.add.reduce(self.W[:, p + 1 :], 0)
 
     def _update_live(self, mixed: np.ndarray) -> np.ndarray:
         """Apply the gradient step and tracker increment to a mixed block, in
@@ -256,15 +256,12 @@ class DtacEngine(_EngineBase):
         self.buffers.deposit(self.k, self._mix(self.W))
         self.W = self._update_live(self.buffers.take(self.k))
         self.k += 1
-        self._measure()
 
-    def _measure(self) -> None:
+    def masses(self) -> tuple[float, np.ndarray]:
         p, q = self.p, self.buffers.q
-        self.mass = float(np.add.reduce(self.W[:, p], None)) + float(
-            np.add.reduce(q[:, :, p], (0, 1))
-        )
-        self.tracker_mass = np.add.reduce(self.W[:, p + 1 :], 0) + np.add.reduce(
-            q[:, :, p + 1 :], (0, 1)
+        return (
+            float(np.add.reduce(self.W[:, p], None)) + float(np.add.reduce(q[:, :, p], (0, 1))),
+            np.add.reduce(self.W[:, p + 1 :], 0) + np.add.reduce(q[:, :, p + 1 :], (0, 1)),
         )
 
 
@@ -290,12 +287,10 @@ class AugmentedEngine(_EngineBase):
         self._update_live(mixed[: self.n])
         self.W_hat = mixed
         self.k += 1
-        self._measure()
 
-    def _measure(self) -> None:
-        p = self.p
-        self.mass = float(np.add.reduce(self.W_hat[:, p], None))
-        self.tracker_mass = np.add.reduce(self.W_hat[:, p + 1 :], 0)
+    def masses(self) -> tuple[float, np.ndarray]:
+        p, W = self.p, self.W_hat
+        return float(np.add.reduce(W[:, p], None)), np.add.reduce(W[:, p + 1 :], 0)
 
 
 class AddOptEngine(_EngineBase):
@@ -314,7 +309,6 @@ class AddOptEngine(_EngineBase):
     def step(self) -> None:
         self.W = self._update_live(self._mix(self.W))
         self.k += 1
-        self._measure()
 
 
 ENGINES: dict[str, type[_EngineBase]] = {
@@ -324,23 +318,14 @@ ENGINES: dict[str, type[_EngineBase]] = {
 }
 
 
-class TraceRecord(NamedTuple):
-    """One metric row; all finite unless the run diverged."""
-
-    iter: int
-    optimality_gap: float
-    mse: float
-    consensus_error: float
-    grad_tracker_sum_error: float
-    mass_error: float
-
-
-TRACE_HEADER = ",".join(TraceRecord._fields)
-
-# a run's trace: one 48-byte row per recorded iteration, TraceRecord's fields
-TRACE_DTYPE = np.dtype(
-    [("iter", np.int64)] + [(name, np.float64) for name in TraceRecord._fields[1:]]
-)
+# a run's trace: one 48-byte row per recorded iteration, all finite unless
+# the run diverged; `_row` computes a row as a tuple in this order
+TRACE_DTYPE = np.dtype([
+    ("iter", np.int64), ("optimality_gap", np.float64), ("mse", np.float64),
+    ("consensus_error", np.float64), ("grad_tracker_sum_error", np.float64),
+    ("mass_error", np.float64),
+])
+TRACE_HEADER = ",".join(TRACE_DTYPE.names)
 
 _TRACE_START = 64  # rows a trace holds before it first grows
 
@@ -429,25 +414,36 @@ class RunResult:
         return f"STATUS {self.status} iters={self.iters} final_gap={self.final_gap!r}"
 
 
-def _metrics(engine, problem: GlobalProblem) -> TraceRecord:
-    # the reductions numpy's mean, sum and linalg.norm make (so the same bits),
-    # without their wrappers' overhead
+def _progress(engine, problem: GlobalProblem) -> tuple[np.ndarray, float, float]:
+    """The mean ratio estimate z_bar, its optimality gap and the nodes' mean
+    squared distance to z*: all that the stop tests read."""
+    # here and in _row, the reductions numpy's mean, sum and linalg.norm make
+    # (so the same bits), without their wrappers' overhead
     Z, n = engine.Z, engine.n
     z_bar = np.add.reduce(Z, 0) / n
     d = Z - problem.z_star
     mse = float(np.add.reduce(np.add.reduce(d * d, 1), None) / n)
-    d = Z - z_bar
+    return z_bar, problem.gap(z_bar), mse
+
+
+def _row(engine, z_bar: np.ndarray, gap: float, mse: float) -> tuple:
+    """A trace row (TRACE_DTYPE's fields, in order) from `_progress`'s values."""
+    d = engine.Z - z_bar
     # sqrt is correctly rounded and monotone, so this is the largest row norm
     consensus = math.sqrt(np.maximum.reduce(np.add.reduce(d * d, 1)))
+    mass, tracker_mass = engine.masses()
     grad_now = np.add.reduce(engine.grad_prev, 0)
-    resid = engine.tracker_mass - grad_now
+    resid = tracker_mass - grad_now
     tracker_err = math.sqrt(resid.dot(resid)) / (1.0 + math.sqrt(grad_now.dot(grad_now)))
-    return TraceRecord(
-        engine.k, problem.gap(z_bar), mse, consensus, tracker_err, abs(engine.mass - n)
-    )
+    return engine.k, gap, mse, consensus, tracker_err, abs(mass - engine.n)
 
 
-def _keep(trace: np.ndarray, rows: int, row: TraceRecord) -> int:
+def _metrics(engine, problem: GlobalProblem) -> tuple:
+    """The engine's whole trace row at its current round."""
+    return _row(engine, *_progress(engine, problem))
+
+
+def _keep(trace: np.ndarray, rows: int, row: tuple) -> int:
     """Write `row` after the first `rows` rows of `trace`, doubling `trace`
     in place when it is full; returns the new row count.  Only `run()` holds
     `trace` while it grows, and it takes no view of it."""
@@ -468,7 +464,8 @@ def run(
     bound) is installed every `period` iterations; packets already in
     flight are still delivered on their original schedule.  The trace
     holds the round-0 row, the row of every `record_every`-th iteration and
-    the final row.
+    the final row; only those rows pay for `_row`.  Overflow on a diverging
+    run ends it as DIVERGED without a warning.
     """
     switching = isinstance(setting, SwitchingPlan)
     current = setting.realize(0) if switching else setting
@@ -477,33 +474,34 @@ def run(
         current.delays, config.alpha,
     )
 
-    last = _metrics(engine, problem)
     trace = np.empty(_TRACE_START, TRACE_DTYPE)
-    rows = _keep(trace, 0, last)
     status = "MAXITER"
-    for k in range(config.max_iters):
-        if switching and k > 0 and k % setting.period == 0:
-            current = setting.realize(k // setting.period)
-            engine.set_topology(current.weights, current.delays)
-        engine.step()
-        last = _metrics(engine, problem)
-        if engine.k % config.record_every == 0:
-            rows = _keep(trace, rows, last)
-        if not math.isfinite(last.mse) or last.mse > DIVERGENCE_MSE:
-            status = "DIVERGED"
-            break
-        if last.optimality_gap < config.tol:
-            status = "CONVERGED"
-            break
-    if engine.k % config.record_every:  # the final row is off the cadence
-        rows = _keep(trace, rows, last)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_bar, gap, mse = _progress(engine, problem)
+        rows = _keep(trace, 0, _row(engine, z_bar, gap, mse))
+        for k in range(config.max_iters):
+            if switching and k > 0 and k % setting.period == 0:
+                current = setting.realize(k // setting.period)
+                engine.set_topology(current.weights, current.delays)
+            engine.step()
+            z_bar, gap, mse = _progress(engine, problem)
+            if engine.k % config.record_every == 0:
+                rows = _keep(trace, rows, _row(engine, z_bar, gap, mse))
+            if not math.isfinite(mse) or mse > DIVERGENCE_MSE:
+                status = "DIVERGED"
+                break
+            if gap < config.tol:
+                status = "CONVERGED"
+                break
+        if engine.k % config.record_every:  # the final row is off the cadence
+            rows = _keep(trace, rows, _row(engine, z_bar, gap, mse))
     trace.resize(rows, refcheck=False)  # in place: no copy of the rows
     return RunResult(
         tau_max=engine.tau_max,
         alpha=config.alpha,
         status=status,
         iters=engine.k,
-        final_gap=last.optimality_gap,
-        final_mse=last.mse,
+        final_gap=gap,
+        final_mse=mse,
         trace=trace,
     )

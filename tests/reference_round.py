@@ -3,8 +3,8 @@
 `dtacopt.optimizer` applies the gradient step and tracker increment in place
 on the freshly mixed block, sums with `np.add.reduce` and takes its metric
 row from bare reductions.  The classes here keep the earlier round: a copy of
-each input block, the `.sum()`/`np.mean`/`np.linalg.norm` wrappers and a
-keyword-built `TraceRecord`.  Each reference engine subclasses its package
+each input block and the `.sum()`/`np.mean`/`np.linalg.norm` wrappers, in the
+masses and in the metric row.  Each reference engine subclasses its package
 engine, so both share the constructor, `set_topology`, the mixing product and
 every step body that did not change, and differ only in the code that was
 rewritten.  The rewrite computes the
@@ -23,7 +23,6 @@ from dtacopt.optimizer import (
     DtacEngine,
     EngineFault,
     InTransitBuffer,
-    TraceRecord,
 )
 
 
@@ -74,11 +73,11 @@ class ReferenceDtacEngine(_ReferenceUpdate, DtacEngine):
         self.W = W
         self.buffers = ReferenceBuffer(self.tau_max, self.n, W.shape[1])
 
-    def _measure(self) -> None:
+    def masses(self) -> tuple[float, np.ndarray]:
         p = self.p
-        self.mass = float(self.W[:, p].sum()) + float(self.buffers.column_sum(p))
-        self.tracker_mass = self.W[:, p + 1 :].sum(axis=0) + self.buffers.column_sum(
-            slice(p + 1, None)
+        return (
+            float(self.W[:, p].sum()) + float(self.buffers.column_sum(p)),
+            self.W[:, p + 1 :].sum(axis=0) + self.buffers.column_sum(slice(p + 1, None)),
         )
 
 
@@ -89,19 +88,16 @@ class ReferenceAugmentedEngine(_ReferenceUpdate, AugmentedEngine):
         mixed[: self.n] = live
         self.W_hat = mixed
         self.k += 1
-        self._measure()
 
-    def _measure(self) -> None:
+    def masses(self) -> tuple[float, np.ndarray]:
         p = self.p
-        self.mass = float(self.W_hat[:, p].sum())
-        self.tracker_mass = self.W_hat[:, p + 1 :].sum(axis=0)
+        return float(self.W_hat[:, p].sum()), self.W_hat[:, p + 1 :].sum(axis=0)
 
 
 class ReferenceAddOptEngine(_ReferenceUpdate, AddOptEngine):
-    def _measure(self) -> None:
+    def masses(self) -> tuple[float, np.ndarray]:
         p = self.p
-        self.mass = float(self.W[:, p].sum())
-        self.tracker_mass = self.W[:, p + 1 :].sum(axis=0)
+        return float(self.W[:, p].sum()), self.W[:, p + 1 :].sum(axis=0)
 
 
 REFERENCE_ENGINES = {
@@ -111,24 +107,18 @@ REFERENCE_ENGINES = {
 }
 
 
-def reference_metrics(engine, problem: GlobalProblem) -> TraceRecord:
+def reference_metrics(engine, problem: GlobalProblem) -> tuple:
     Z = engine.Z
     z_bar = Z.mean(axis=0)
     gap = problem.gap(z_bar)
     diffs = Z - problem.z_star
     mse = float(np.mean(np.sum(diffs * diffs, axis=1)))
     consensus = float(np.max(np.linalg.norm(Z - z_bar, axis=1)))
+    mass, tracker_mass = engine.masses()
     grad_now = engine.grad_prev.sum(axis=0)
     tracker_err = float(
-        np.linalg.norm(engine.tracker_mass - grad_now)
+        np.linalg.norm(tracker_mass - grad_now)
         / (1.0 + np.linalg.norm(grad_now))
     )
-    mass_err = abs(engine.mass - engine.n)
-    return TraceRecord(
-        iter=engine.k,
-        optimality_gap=gap,
-        mse=mse,
-        consensus_error=consensus,
-        grad_tracker_sum_error=tracker_err,
-        mass_error=mass_err,
-    )
+    mass_err = abs(mass - engine.n)
+    return engine.k, gap, mse, consensus, tracker_err, mass_err

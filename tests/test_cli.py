@@ -66,6 +66,33 @@ def test_unsampleable_graph_is_a_config_error(command, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("cost", ["quadratic", "logistic"])
+def test_overflow_ends_a_run_as_diverged_with_an_infinite_gap_and_no_warning(cost, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "dtacopt.cli", "run", "--out", str(tmp_path),
+         "--set", f"cost.type={cost}", "--set", "run.alpha=1e300", "--set", "run.max_iters=50"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "STATUS DIVERGED iters=1 final_gap=inf"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("cost", ["logistic", "svm"])
+def test_separation_whose_gram_overflows_is_a_config_error_that_names_it(cost, tmp_path):
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "dtacopt.cli", "run", "--out", str(out),
+         "--set", f"cost.type={cost}", "--set", "cost.separation=1e300"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "config error: separation too large: the features' Gram matrix overflows\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "compare"])
 def test_switching_exponential_graph_is_a_config_error(command, tmp_path):
     out = tmp_path / "out"

@@ -400,7 +400,7 @@ def test_switching_lockstep_across_engines():
         e1.step()
         e2.step()
         assert np.max(np.abs(e1.W[:, :3] - e2.W[:, :3])) < 1e-12
-        assert abs(e1.mass - e2.mass) < 1e-12
+        assert abs(e1.masses()[0] - e2.masses()[0]) < 1e-12
 
 
 def test_set_topology_rejects_tau_change():
@@ -424,7 +424,7 @@ def test_switching_keeps_in_flight_packets():
     engine.set_topology(other.weights, other.delays)
     for _ in range(50):
         engine.step()
-        assert abs(engine.mass - 6.0) < 1e-10
+        assert abs(engine.masses()[0] - 6.0) < 1e-10
 
 
 def test_contraction_monitor_on_converged_certified_runs():

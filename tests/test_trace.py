@@ -10,22 +10,21 @@ import pytest
 from dtacopt import costs, graphs
 from dtacopt.experiment import compare_engines, load_config, write_trace
 from dtacopt.optimizer import (
+    ENGINES,
     TRACE_DTYPE,
     TRACE_HEADER,
     RunConfig,
     StaticSetting,
-    TraceRecord,
+    SwitchingPlan,
     run,
 )
 
 
-def as_csv_row(rec: TraceRecord) -> str:
+def as_csv_row(row: tuple) -> str:
     """A row's text as the frozen-dataclass trace rows printed it, field by
     field with an f-string's `!r`."""
-    return (
-        f"{rec.iter!r},{rec.optimality_gap!r},{rec.mse!r},"
-        f"{rec.consensus_error!r},{rec.grad_tracker_sum_error!r},{rec.mass_error!r}"
-    )
+    it, gap, mse, consensus, tracker, mass = row
+    return f"{it!r},{gap!r},{mse!r},{consensus!r},{tracker!r},{mass!r}"
 
 
 def small_run(max_iters, record_every=1, tol=0.0, alpha=0.01):
@@ -41,9 +40,9 @@ def test_a_row_takes_48_bytes_in_the_header_order():
 
 
 EDGE_ROWS = [
-    TraceRecord(0, math.inf, math.nan, -0.0, 5e-324, 0.0),
-    TraceRecord(2**53 + 1, -math.inf, -math.nan, 1e308, 2.2250738585072014e-308, -5e-324),
-    TraceRecord(2**63 - 1, 0.1, 1 / 3, -1e-300, 123456789.0, 1e16),
+    (0, math.inf, math.nan, -0.0, 5e-324, 0.0),
+    (2**53 + 1, -math.inf, -math.nan, 1e308, 2.2250738585072014e-308, -5e-324),
+    (2**63 - 1, 0.1, 1 / 3, -1e-300, 123456789.0, 1e16),
 ]
 
 
@@ -62,7 +61,7 @@ def test_writer_prints_a_run_as_its_rows(tmp_path):
     result = small_run(40, record_every=3)
     path = tmp_path / "trace.csv"
     write_trace(result.trace, path)
-    rows = [TraceRecord(*row.item()) for row in result.trace]
+    rows = [row.item() for row in result.trace]
     assert path.read_text().splitlines() == [TRACE_HEADER] + [as_csv_row(r) for r in rows]
 
 
@@ -75,6 +74,29 @@ def test_run_keeps_its_final_row_off_the_cadence(max_iters, expected):
     assert result.trace["iter"].tolist() == expected
     assert result.trace["optimality_gap"][-1] == result.final_gap
     assert result.trace["mse"][-1] == result.final_mse
+
+
+CADENCE_PLAN = SwitchingPlan(
+    period=3, n=5, p=0.6, graph_seed=21, require_strong=True,
+    tau_max=2, delay_mode="uniform-random", delay_seed=22,
+)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("switching", [False, True])
+@pytest.mark.parametrize("alpha, status", [(0.01, "MAXITER"), (3.0, "DIVERGED")])
+def test_a_kept_row_is_the_every_round_row_at_its_iteration(engine, switching, alpha, status):
+    """The rows a `record_every=7` run keeps, its final off-cadence row
+    included, are the `record_every=1` run's rows at those iterations, bit
+    for bit, on a run that ends at its cap and on one that diverges."""
+    setting = CADENCE_PLAN if switching else CADENCE_PLAN.realize(0)
+    prob = costs.make_quadratic(5, 2, 23)
+    every, sparse = (run(RunConfig(alpha, 40, 0.0, r, engine, 24), setting, prob) for r in (1, 7))
+    assert every.status == sparse.status == status
+    assert sparse.iters == every.iters and sparse.iters % 7  # the final row is off the cadence
+    assert sparse.trace["iter"].tolist() == [*range(0, sparse.iters, 7), sparse.iters]
+    assert every.trace["iter"].tolist() == list(range(every.iters + 1))
+    assert sparse.trace.tobytes() == every.trace[sparse.trace["iter"]].tobytes()
 
 
 def test_converged_run_keeps_its_final_row_off_the_cadence():

@@ -62,7 +62,10 @@ LOOPED_DELAYS = ("# tau_max=3\n0 0 0\n0 1 2\n1 2 1\n1 4 3\n2 2 0\n2 3 0\n3 1 2\n
 # N=420, whose last bits follow a BLAS thread count the caller sets,
 # `check-bound` on both sides of its verdict, hand-written graph and delay
 # files that list self-loops (`j j`, `j j 0`; then `j j 1`, exit 1), a graph
-# that cannot be sampled strongly connected (exit 1), and the selftest
+# that cannot be sampled strongly connected (exit 1), runs whose step size
+# overflows (DIVERGED with an infinite gap and no warning) on quadratic and
+# logistic costs, a separation whose features' Gram overflows (exit 1), and
+# the selftest
 COMMANDS = (
     ("run", ("run",)),
     ("run-oracle", ("run", "--set", "run.engine=augmented-oracle")),
@@ -124,6 +127,11 @@ COMMANDS = (
      ("check-bound", "--graph-file", "g.txt", "--delay-file", "d.txt"),
      ("spectral", "--graph-file", "g.txt", "--delay-file", "delayed.txt")),
     ("config-error", ("run", "--set", "graph.n=30", "--set", "graph.p=0.01")),
+    ("run-overflow", ("run", "--set", "run.alpha=1e300", "--set", "run.max_iters=50")),
+    ("run-overflow-logistic", ("run", "--set", "cost.type=logistic", "--set", "run.alpha=1e300",
+                               "--set", "run.max_iters=50")),
+    ("separation-overflow", ("run", "--set", "cost.type=logistic",
+                             "--set", "cost.separation=1e300")),
     ("selftest", ("selftest",)),
 )
 
